@@ -192,39 +192,49 @@ def mrl_derivative_power(f: SymbolicPower, alpha) -> SymbolicPower:
 
 # -- product-integration quadrature -----------------------------------------
 
+def product_weights(mu: float, n_max: int):
+    """Piecewise-linear product-integration weights of order mu.
+
+    The weakly singular kernel integrated exactly against the linear
+    interpolant gives, up to the factor h^mu / Gamma(mu + 2), weight 1 on
+    the endpoint node n, d2[n - j - 1] on an interior node j, and a0[n] on
+    the origin node, where
+
+        d2[k - 1] = (k + 1)^(mu + 1) - 2 k^(mu + 1) + (k - 1)^(mu + 1),
+        a0[n] = (n - 1)^(mu + 1) - n^mu (n - mu - 1)
+
+    for k = 1 .. n_max and n = 1 .. n_max (a0[0] = 0).
+    """
+    ks = np.arange(0, n_max + 2, dtype=float)
+    p = ks ** (mu + 1.0)
+    d2 = p[2:] - 2.0 * p[1:-1] + p[:-2]
+    ns = ks[1:n_max + 1]
+    a0 = np.zeros(n_max + 1)
+    a0[1:] = p[:n_max] - ns ** mu * (ns - mu - 1.0)
+    return d2, a0
+
+
 def _frac_integral_all(dy: np.ndarray, mu: float, h: float) -> np.ndarray:
     """Fractional integral of order mu of the sampled, zero-at-origin
     function dy, at every grid node.
 
-    Piecewise-linear product integration: the weakly singular kernel is
-    integrated exactly against the linear interpolant, which keeps the
-    O(h^2)-class rate a plain trapezoid rule would lose at the endpoint.
+    Piecewise-linear product integration (see product_weights), which keeps
+    the O(h^2)-class rate a plain trapezoid rule would lose at the endpoint.
+    All nodes at once: the interior and endpoint sums are one convolution.
     """
     n_max = len(dy) - 1
-    p = np.arange(0, n_max + 2, dtype=float) ** (mu + 1.0)
-    d2 = p[2:] - 2.0 * p[1:-1] + p[:-2]  # indexed by k = 1 .. n_max
-    scale = h**mu / gamma(mu + 2.0)
+    d2, a0 = product_weights(mu, n_max)
+    kernel = np.concatenate(([1.0], d2[:n_max - 1]))
     out = np.zeros(n_max + 1)
-    ns = np.arange(0, n_max + 1, dtype=float)
-    a0 = np.zeros(n_max + 1)
-    a0[1:] = (ns[1:] - 1.0) ** (mu + 1.0) - ns[1:] ** mu * (ns[1:] - mu - 1.0)
-    for n in range(1, n_max + 1):
-        acc = a0[n] * dy[0] + dy[n]
-        if n > 1:
-            acc += float(np.dot(d2[: n - 1][::-1], dy[1:n]))
-        out[n] = scale * acc
-    return out
+    out[1:] = np.convolve(kernel, dy[1:])[:n_max] + a0[1:] * dy[0]
+    return h**mu / gamma(mu + 2.0) * out
 
 
 def _frac_integral_at(dy: np.ndarray, mu: float, h: float, n: int) -> float:
     if n == 0:
         return 0.0
-    k = np.arange(1, n, dtype=float)
-    w = (k + 1.0) ** (mu + 1.0) - 2.0 * k ** (mu + 1.0) + (k - 1.0) ** (mu + 1.0)
-    a0 = (n - 1.0) ** (mu + 1.0) - float(n) ** mu * (n - mu - 1.0)
-    acc = a0 * dy[0] + dy[n]
-    if n > 1:
-        acc += float(np.dot(w[::-1], dy[1:n]))
+    d2, a0 = product_weights(mu, n)
+    acc = a0[n] * dy[0] + dy[n] + float(np.dot(d2[:n - 1][::-1], dy[1:n]))
     return h**mu / gamma(mu + 2.0) * acc
 
 

@@ -145,6 +145,108 @@ def test_pece_tracks_gl():
     assert abs(gl.terminal()[0] - pc.terminal()[0]) < 2e-3
 
 
+# Direct loops with per-step weights, kept as the oracle for the
+# precomputed-weight schemes in dynamics: same arithmetic term by term, only
+# the summation order differs.
+
+def _gl_oracle(fs, y, times, h, alpha, window):
+    steps = len(times) - 1
+    w = np.empty(steps + 1)
+    w[0] = 1.0
+    for j in range(1, steps + 1):
+        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
+    y0 = y[0].copy()
+    dy = np.zeros_like(y)
+    for n in range(1, steps + 1):
+        rate = np.array([f(y[n - 1]) for f in fs])
+        lo = 0 if window is None else max(0, n - window)
+        y[n] = y0 + h ** alpha * rate - w[1:n - lo + 1] @ dy[lo:n][::-1]
+        dy[n] = y[n] - y0
+
+
+def _pece_oracle(fs, y, times, h, alpha, window):
+    steps = len(times) - 1
+    pre_p = h ** alpha / gamma(alpha + 1.0)
+    pre_c = h ** alpha / gamma(alpha + 2.0)
+    y0 = y[0].copy()
+    rates = np.zeros((steps + 1, y.shape[1]))
+    rates[0] = [f(y0) for f in fs]
+    js = np.arange(steps + 1, dtype=float)
+    for n in range(1, steps + 1):
+        lo = 0 if window is None else max(0, n - window)
+        gaps = n - lo - js[:n - lo]
+        bw = gaps ** alpha - (gaps - 1.0) ** alpha
+        pred = y0 + pre_p * (bw @ rates[lo:n])
+        rate_p = np.array([f(pred) for f in fs])
+        cw = np.empty(n - lo)
+        if lo == 0:
+            cw[0] = (n - 1.0) ** (alpha + 1.0) - (n - 1.0 - alpha) * float(n) ** alpha
+            inner = np.arange(1, n, dtype=float)
+        else:
+            inner = np.arange(lo, n, dtype=float)
+        if inner.size:
+            g = n - inner
+            cw[n - lo - inner.size:] = ((g + 1.0) ** (alpha + 1.0)
+                                        - 2.0 * g ** (alpha + 1.0)
+                                        + (g - 1.0) ** (alpha + 1.0))
+        y[n] = y0 + pre_c * (cw @ rates[lo:n] + rate_p)
+        rates[n] = [f(y[n]) for f in fs]
+
+
+def _oracle(p, window):
+    times = p.grid()
+    y = np.zeros((len(times), p.dimension))
+    y[0] = p.initial
+    loop = _gl_oracle if p.scheme == GRUNWALD_LETNIKOV else _pece_oracle
+    loop(p.compiled_rhs(), y, times, p.step, p.alpha, window)
+    return y
+
+
+def _oracle_cases(alpha, scheme):
+    yield landau_problem(1.0, 2.0, 1.0, alpha, 0.3 + 0.1j, 0.5 - 0.2j,
+                         12.0, 1e-2, composition=SEQUENTIAL_ALPHA_ALPHA,
+                         scheme=scheme)
+    yield ivp(("q",), ("-q",), alpha, (1.0,), 1.2, 1e-3, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", [GRUNWALD_LETNIKOV, PREDICTOR_CORRECTOR])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_fractional_schemes_match_direct_loops(alpha, scheme):
+    for p in _oracle_cases(alpha, scheme):
+        steps = len(p.grid()) - 1
+        full = integrate(p).states
+        for window in (None, steps // 3):
+            got = full if window is None else integrate(p, window).states
+            want = _oracle(p, window)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-10 * scale, (p.variables, window)
+        # a window that never cuts the history is the full-history run
+        for window in (steps, steps + 7):
+            assert np.array_equal(integrate(p, window).states, full)
+
+
+def _mittag_leffler(alpha, z):
+    return sum(z ** k / math.gamma(alpha * k + 1.0) for k in range(200))
+
+
+@pytest.mark.parametrize("alpha, gl_err, pc_err", [(0.5, 1.2e-4, 1.5e-6),
+                                                   (0.8, 2.2e-4, 3.5e-7)])
+def test_fractional_relaxation_closed_form(alpha, gl_err, pc_err):
+    # D^alpha y = -y, y(0) = 1 is solved by E_alpha(-t^alpha); GL is first
+    # order and the predictor-corrector of order 1 + alpha at t = 1
+    want = _mittag_leffler(alpha, -1.0)
+    hs = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    for scheme, lo, hi, finest in (
+            (GRUNWALD_LETNIKOV, 0.9, 1.1, gl_err),
+            (PREDICTOR_CORRECTOR, alpha + 0.85, alpha + 1.1, pc_err)):
+        errs = [abs(integrate(ivp(("y",), ("-y",), alpha, (1.0,), 1.0, h,
+                                  scheme=scheme)).terminal()[0] - want)
+                for h in hs]
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert all(lo <= o <= hi for o in orders), (scheme, orders)
+        assert errs[-1] < finest, (scheme, errs)
+
+
 def test_overflow_detected():
     p = ivp(("q",), ("q^3",), 1.0, (2.0,), 50.0, 1e-2,
             scheme=GRUNWALD_LETNIKOV)

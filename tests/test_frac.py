@@ -15,6 +15,8 @@ from fracsymp.frac import (
     PoleAtNonPositiveInteger,
     SampledFunction,
     SymbolicPower,
+    _frac_integral_all,
+    _frac_integral_at,
     chain_partial,
     chain_rule_a,
     chain_rule_b,
@@ -146,6 +148,18 @@ def test_quadrature_grid_matches_pointwise_interior():
     for x in (0.5, 1.0, 1.5):
         k = int(round(x / 1e-3))
         assert abs(all_nodes[k] - mrl_derivative_quadrature(f, 0.5, x)) < 1e-12
+
+
+def test_grid_integral_matches_pointwise_at_every_node():
+    # the all-nodes convolution against the one-node sum; the offset sample
+    # puts weight on the origin anchor as well
+    xs = 1e-3 * np.arange(1501)
+    for dy in (np.sin(3.0 * xs) + np.sqrt(xs), np.cos(3.0 * xs) + 0.5):
+        for mu in (0.1, 0.5, 0.9):
+            got = _frac_integral_all(dy, mu, 1e-3)
+            want = np.array([_frac_integral_at(dy, mu, 1e-3, n)
+                             for n in range(len(dy))])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_quadrature_convergence_order():
