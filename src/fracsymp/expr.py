@@ -373,7 +373,17 @@ def _mono_divides(num, den):
 
 
 def _poly_div(num: dict, den: dict):
-    """Exact multivariate division; returns the quotient or None."""
+    """Trial division; returns the quotient or None.
+
+    `_mono_order` is not a monomial order: it ranks q below Gamma, yet
+    q^2 above q*Gamma and q*Gamma below Gamma^2, so the product of leading
+    terms is not always the leading term of the product.  This division can
+    therefore return None on an exact quotient, such as
+    (2q + 2Gamma)(3q - Gamma) / (2q + 2Gamma), and `_cancel_denominators`
+    then keeps a denominator it could have cancelled.  Canonical forms
+    depend on that behaviour, so it stays; `_poly_exact_div` is the
+    division to use where the quotient is known to be exact.
+    """
     if not den:
         return None
     dlead = max(den, key=_mono_order)
@@ -399,6 +409,67 @@ def _poly_div(num: dict, den: dict):
             else:
                 rem.pop(m, None)
     return None
+
+
+def _poly_exact_div(num: dict, den: dict) -> dict:
+    """Quotient of a division known to be exact in the Laurent ring.
+
+    The bases of both operands are ordered by `_base_key`, and monomials by
+    (total degree, exponent vector over those bases): a total order that
+    respects multiplication, also with negative and rational exponents.
+    The leading term of the remainder then always comes from the leading
+    term of the quotient.  Every exponent of an exact quotient lies between
+    the lowest and the highest exponents that num and den allow for its
+    base, and a term outside that box means the division is not exact: it
+    raises ArithmeticError, which is a defect of the caller.
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return {}
+    if len(den) == 1:
+        (mono, c), = den.items()
+        if not mono:
+            return {m: v / c for m, v in num.items()}
+        inv = {_sorted_mono([(b, -e) for b, e in mono]): 1 / c}
+        return _poly_mul(num, inv)
+    bases = sorted({b for p in (num, den) for m in p for b, _ in m},
+                   key=_base_key)
+    slot = {b: i for i, b in enumerate(bases)}
+
+    def dense(p):
+        out = {}
+        for m, c in p.items():
+            v = [Fraction(0)] * len(bases)
+            for b, e in m:
+                v[slot[b]] = e
+            out[(sum(v, Fraction(0)), *v)] = c
+        return out
+
+    rem, dd = dense(num), dense(den)
+    # column 0 of the dense keys is the total degree, the rest one per base
+    ncols, dcols = list(zip(*rem))[1:], list(zip(*dd))[1:]
+    lo = [min(a) - min(b) for a, b in zip(ncols, dcols)]
+    hi = [max(a) - max(b) for a, b in zip(ncols, dcols)]
+    dlead = max(dd)
+    dcoeff = dd[dlead]
+    quot = {}
+    while rem:
+        rlead = max(rem)
+        t = tuple(a - b for a, b in zip(rlead, dlead))
+        if not all(l <= e <= h for l, e, h in zip(lo, t[1:], hi)):
+            raise ArithmeticError("polynomial division is not exact")
+        c = rem[rlead] / dcoeff
+        quot[t] = c
+        for dm, dc in dd.items():
+            m = tuple(a + b for a, b in zip(t, dm))
+            s = rem.get(m, Fraction(0)) - c * dc
+            if s:
+                rem[m] = s
+            else:
+                del rem[m]
+    return {tuple((b, e) for b, e in zip(bases, t[1:]) if e): c
+            for t, c in quot.items()}
 
 
 def _cancel_denominators(p: dict, positive: frozenset) -> dict:
@@ -450,11 +521,11 @@ def simplify(e: Expr, positive: Iterable[str] = ()) -> Expr:
     return _rebuild(p)
 
 
-def free_names(e: Expr) -> frozenset:
+def _names(e: Expr, kinds) -> frozenset:
     out: set = set()
 
     def walk(n):
-        if isinstance(n, (Variable, SymbolicConstant)):
+        if isinstance(n, kinds):
             out.add(n.name)
         elif isinstance(n, Sum):
             for t in n.terms:
@@ -469,27 +540,16 @@ def free_names(e: Expr) -> frozenset:
 
     walk(e)
     return frozenset(out)
+
+
+def free_names(e: Expr) -> frozenset:
+    """Names of the variables and symbolic constants in `e`."""
+    return _names(e, (Variable, SymbolicConstant))
 
 
 def variable_names(e: Expr) -> frozenset:
-    out: set = set()
-
-    def walk(n):
-        if isinstance(n, Variable):
-            out.add(n.name)
-        elif isinstance(n, Sum):
-            for t in n.terms:
-                walk(t)
-        elif isinstance(n, Product):
-            for f in n.factors:
-                walk(f)
-        elif isinstance(n, Power):
-            walk(n.base)
-        elif isinstance(n, GammaFactor):
-            walk(n.arg)
-
-    walk(e)
-    return frozenset(out)
+    """Names of the dynamical variables in `e`."""
+    return _names(e, Variable)
 
 
 def _diff_node(e: Expr, name: str) -> Expr:

@@ -28,6 +28,10 @@ from .expr import (
     SymbolicConstant,
     Variable,
     ZERO,
+    _poly_add,
+    _poly_exact_div,
+    _poly_mul,
+    _rebuild,
     _to_poly,
     diff,
     evaluate,
@@ -397,49 +401,49 @@ def assemble_form(m: Model) -> SymplecticForm:
     return SymplecticForm(frozen, rank, null_basis)
 
 
-def _det(rows) -> Expr:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return simplify(Sum((
-            Product((rows[0][0], rows[1][1])),
-            Product((Constant(Fraction(-1)), rows[0][1], rows[1][0])))))
-    best = min(range(n), key=lambda i: sum(1 for e in rows[i] if e != ZERO))
-    terms = []
-    for j in range(n):
-        if rows[best][j] == ZERO:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j]
-                 for i in range(n) if i != best]
-        sign = Fraction(-1) if (best + j) % 2 else Fraction(1)
-        terms.append(Product((Constant(sign), rows[best][j], _det(minor))))
-    if not terms:
-        return ZERO
-    return simplify(Sum(tuple(terms)))
-
-
 def invert_form(f: SymplecticForm):
-    """Exact symbolic inverse by the adjugate over the determinant."""
+    """Exact symbolic inverse by fraction-free Gauss-Jordan elimination
+    (Bareiss 1968) of [F | I], in the Laurent-polynomial dicts of `_to_poly`.
+
+    Step k updates every other row as (p_k a_ij - a_ik a_kj) / p_(k-1), a
+    division that is always exact, so the inverse costs O(n^3) polynomial
+    operations.  Rows are swapped to find a nonzero pivot (the diagonal of
+    an antisymmetric form is zero).  At the end the left block is p_n I
+    with p_n = sign * det F, and the right block R = p_n F^-1, so each
+    entry of F^-1 is sign * R_ij / det."""
     n = f.dimension
     if f.rank < n:
         raise SingularForm(f.null_basis)
-    rows = [list(r) for r in f.entries]
-    det = _det(rows)
-    if det == ZERO:
-        raise SingularForm(f.null_basis)
+    rows = [[_to_poly(e, frozenset()) for e in row]
+            + [{(): Fraction(1)} if j == i else {} for j in range(n)]
+            for i, row in enumerate(f.entries)]
+    sign = 1
+    prev = {(): Fraction(1)}
+    for k in range(n):
+        sel = next((i for i in range(k, n) if rows[i][k]), None)
+        if sel is None:
+            raise SingularForm(f.null_basis)
+        if sel != k:
+            rows[k], rows[sel] = rows[sel], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        p = pivot[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = rows[i]
+            minus_a = {m: -c for m, c in row[k].items()}
+            for j in range(k + 1, 2 * n):
+                t = _poly_add(_poly_mul(p, row[j]), _poly_mul(minus_a, pivot[j]))
+                row[j] = _poly_exact_div(t, prev)
+        prev = p
+    det = simplify(_rebuild({m: sign * c for m, c in prev.items()}))
     inv_det = simplify(Power(det, Fraction(-1)))
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            sign = Fraction(-1) if (i + j) % 2 else Fraction(1)
-            cof = _det(minor) if minor else ONE
-            out_row.append(simplify(Product((Constant(sign), cof, inv_det))))
-        out.append(tuple(out_row))
-    return tuple(out)
+    sign_c = Constant(Fraction(sign))
+    return tuple(
+        tuple(simplify(Product((sign_c, _rebuild(rows[i][n + j]), inv_det)))
+              for j in range(n))
+        for i in range(n))
 
 
 def constraints_from_zero_modes(f: SymplecticForm, m: Model):

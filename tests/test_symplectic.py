@@ -4,11 +4,31 @@ coarse Hamilton-Jacobi flow, and the coarse Dirac bracket."""
 import math
 import pathlib
 import random
+import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import fracsymp
-from fracsymp.expr import ONE, ZERO, evaluate, parse_expression, simplify, to_text
+from fracsymp.expr import (
+    ONE,
+    ZERO,
+    Constant,
+    Power,
+    Product,
+    Sum,
+    _poly_div,
+    _poly_exact_div,
+    _to_poly,
+    evaluate,
+    parse_expression,
+    simplify,
+    to_text,
+    var,
+)
 from fracsymp.frac import gamma
 from fracsymp.modelfile import parse_model_file
 from fracsymp.serialize import render_json
@@ -20,6 +40,9 @@ from fracsymp.symplectic import (
     Model,
     ModelError,
     SingularForm,
+    SymplecticForm,
+    _rank_and_null,
+    _rational_eval,
     assemble_form,
     brackets_to_commutators,
     coarse_dirac_bracket,
@@ -358,6 +381,222 @@ def test_form_times_inverse_is_identity():
         for j in range(n):
             s = sum(mat[i][k] * imat[k][j] for k in range(n))
             assert abs(s - (1.0 if i == j else 0.0)) < 1e-12
+
+
+# -- fraction-free inverse against the cofactor oracle ------------------------
+
+def _laplace_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return simplify(Sum((
+            Product((rows[0][0], rows[1][1])),
+            Product((Constant(Fraction(-1)), rows[0][1], rows[1][0])))))
+    best = min(range(n), key=lambda i: sum(1 for e in rows[i] if e != ZERO))
+    terms = []
+    for j in range(n):
+        if rows[best][j] == ZERO:
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j]
+                 for i in range(n) if i != best]
+        sign = Fraction(-1) if (best + j) % 2 else Fraction(1)
+        terms.append(Product((Constant(sign), rows[best][j], _laplace_det(minor))))
+    if not terms:
+        return ZERO
+    return simplify(Sum(tuple(terms)))
+
+
+def cofactor_inverse(f):
+    """The adjugate over the determinant, each cofactor by recursive Laplace
+    expansion: the inverse `invert_form` computed before it eliminated
+    fraction-free.  Factorial cost; kept as the oracle for small forms."""
+    n = f.dimension
+    rows = [list(r) for r in f.entries]
+    det = _laplace_det(rows)
+    if det == ZERO:
+        raise SingularForm(f.null_basis)
+    inv_det = simplify(Power(det, Fraction(-1)))
+    out = []
+    for i in range(n):
+        out_row = []
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            sign = Fraction(-1) if (i + j) % 2 else Fraction(1)
+            cof = _laplace_det(minor) if minor else ONE
+            out_row.append(simplify(Product((Constant(sign), cof, inv_det))))
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def form_from_upper(upper, names, positive=()):
+    """Antisymmetric form from its upper triangle, row by row, marked as of
+    full rank: `invert_form` must find a singular one out by itself."""
+    n = len(upper) + 1
+    entries = [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, text in enumerate(row, start=i + 1):
+            e = simplify(parse_expression(text, variables=names), positive)
+            entries[i][j] = e
+            entries[j][i] = simplify(Product((Constant(Fraction(-1)), e)), positive)
+    return SymplecticForm(tuple(tuple(r) for r in entries), n, ())
+
+
+_ORACLE_NAMES = ("q", "p")
+_ORACLE_ATOMS = ("Gamma(1 + alpha)", "q^(-1)", "p^(1/2)", "(1 + q^2)^(-1)",
+                 "q", "p")
+
+
+def _oracle_corpus():
+    """Hand-picked forms, then a seeded set of 2x2 and 4x4 forms whose
+    entries are small integer combinations of the atoms above."""
+    forms = [
+        form_from_upper([["Gamma(1 + alpha)*q^(-1)"]], _ORACLE_NAMES),
+        form_from_upper([["p^(1/2)", "1", "(1 + q^2)^(-1)"],
+                         ["Gamma(1 + alpha)", "q^(-1)"],
+                         ["2*p^(1/2) - Gamma(1 + alpha)"]],
+                        _ORACLE_NAMES, ("p",)),
+        form_from_upper([["1 + q^2", "0", "q"],
+                         ["(1 + q^2)^(-1)", "0"],
+                         ["Gamma(1 + alpha)*(1 + q^2)^(-1)"]], _ORACLE_NAMES),
+    ]
+    rnd = random.Random(20261018)
+    while len(forms) < 15:
+        n = rnd.choice((2, 4, 4))
+        upper = []
+        for i in range(n - 1):
+            row = []
+            for _ in range(i + 1, n):
+                terms = ["%d*%s" % (rnd.choice((-2, -1, 1, 3)), rnd.choice(_ORACLE_ATOMS))
+                         for _ in range(rnd.choice((1, 1, 2)))]
+                row.append(" + ".join(terms))
+            upper.append(row)
+        forms.append(form_from_upper(upper, _ORACLE_NAMES, ("p",)))
+    return forms
+
+
+def _bundled_forms():
+    """The forms of every bundled model and of each of its constraint
+    levels."""
+    out = []
+    for path in sorted(MODELS.glob("*.model")):
+        doc = parse_model_file(path)
+        chain, _ = fj_iterate(doc.model, doc.gauge_conditions)
+        out.append(assemble_form(doc.model))
+        out += [assemble_form(lev.model) for lev in chain.levels]
+    return out
+
+
+def test_invert_form_matches_cofactor_oracle():
+    regular = 0
+    for f in _bundled_forms() + _oracle_corpus():
+        if f.rank < f.dimension:
+            with pytest.raises(SingularForm):
+                invert_form(f)
+            continue
+        try:
+            want = cofactor_inverse(f)
+        except SingularForm:
+            with pytest.raises(SingularForm):
+                invert_form(f)
+            continue
+        got = invert_form(f)
+        assert [[to_text(e) for e in row] for row in got] == \
+            [[to_text(e) for e in row] for row in want]
+        regular += 1
+    assert regular >= 15
+
+
+def test_invert_form_raises_on_singular_entries():
+    # claimed regular, but the Pfaffian q*q - 1*q^2 + 0*Gamma vanishes
+    f = form_from_upper([["q", "1", "0"],
+                         ["Gamma(1 + alpha)", "q^2"],
+                         ["q"]], _ORACLE_NAMES)
+    with pytest.raises(SingularForm):
+        cofactor_inverse(f)
+    with pytest.raises(SingularForm):
+        invert_form(f)
+
+
+def test_exact_division_recovers_quotient_under_a_monomial_order():
+    names = ("q",)
+    num = _to_poly(simplify(parse_expression(
+        "(2*q + 2*Gamma(1 + alpha))*(3*q - Gamma(1 + alpha))", variables=names)),
+        frozenset())
+    den = _to_poly(simplify(parse_expression(
+        "2*q + 2*Gamma(1 + alpha)", variables=names)), frozenset())
+    want = _to_poly(simplify(parse_expression(
+        "3*q - Gamma(1 + alpha)", variables=names)), frozenset())
+    assert _poly_exact_div(num, den) == want
+    # the trial division of _cancel_denominators misses this exact quotient
+    assert _poly_div(num, den) is None
+    with pytest.raises(ArithmeticError):
+        _poly_exact_div({**num, (): Fraction(1)}, den)
+
+
+# Polynomial atoms only: a multi-term determinant with negative powers
+# (q^(-1), (1 + q^2)^(-1)) sends the trial division of `simplify` to its
+# 10000-step cap, seconds per entry whichever way the inverse is computed.
+# The oracle corpus above covers those atoms.
+_ENTRY_ATOMS = ("q", "p", "Gamma(1 + alpha)")
+
+
+@st.composite
+def antisymmetric_forms(draw):
+    """Integer entries, of which up to three (any number below n = 6) also
+    carry an integer multiple of one atom: a generic 6x6 form with every
+    entry symbolic has minors of thousands of terms."""
+    n = draw(st.sampled_from((2, 4, 6)))
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    symbolic = draw(st.sets(st.sampled_from(cells),
+                            max_size=3 if n == 6 else len(cells)))
+    upper = [[None] * (n - 1 - i) for i in range(n - 1)]
+    for i, j in cells:
+        text = str(draw(st.integers(-3, 3)))
+        if (i, j) in symbolic:
+            text += " + %d*%s" % (draw(st.integers(-2, 2)),
+                                  draw(st.sampled_from(_ENTRY_ATOMS)))
+        upper[i][j - i - 1] = text
+    return form_from_upper(upper, _ORACLE_NAMES)
+
+
+def _exact_values(rows, point):
+    return np.array([[_rational_eval(e, point) for e in row] for row in rows],
+                    dtype=object)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(antisymmetric_forms(), st.integers(0, 2**32 - 1))
+def test_form_times_inverse_is_identity_at_rational_points(f, seed):
+    """f . f^-1 = I exactly, at a random rational point where f is
+    regular."""
+    rnd = random.Random(seed)
+    atoms = (var("q"), var("p"), simplify(parse_expression("Gamma(1 + alpha)")))
+    point = {a: Fraction(rnd.randint(1, 97), rnd.randint(1, 97)) for a in atoms}
+    mat = _exact_values(f.entries, point)
+    assume(_rank_and_null(mat.tolist())[0] == f.dimension)
+    inv = _exact_values(invert_form(f), point)
+    assert (mat.dot(inv) == np.eye(f.dimension, dtype=int)).all()
+
+
+def test_dense_ten_variable_form_inverts_quickly():
+    rnd = random.Random(10)
+    n = 10
+    k = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            k[i, j] = rnd.choice((-3, -2, -1, 1, 2, 3))
+            k[j, i] = -k[i, j]
+    assert abs(np.linalg.det(k)) > 0.5
+    entries = tuple(tuple(Constant(Fraction(int(x))) for x in row) for row in k)
+    start = time.perf_counter()
+    inv = invert_form(SymplecticForm(entries, n, ()))
+    elapsed = time.perf_counter() - start
+    got = np.array([[evaluate(e) for e in row] for row in inv])
+    assert elapsed < 2.0
+    assert np.abs(got - np.linalg.inv(k)).max() < 1e-9
 
 
 # -- serialization ----------------------------------------------------------
