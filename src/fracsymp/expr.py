@@ -346,73 +346,10 @@ def _rebuild(p: dict) -> Expr:
     return Sum(tuple(terms))
 
 
-# -- exact division machinery, used to cancel multi-term denominators --------
+# -- exact Laurent-polynomial division ---------------------------------------
 
-def _mono_total_degree(m):
-    return sum((e for _, e in m), Fraction(0))
-
-
-def _mono_order(m):
-    return (_mono_total_degree(m), _mono_key(m))
-
-
-def _mono_divides(num, den):
-    exps = {_base_key(b): e for b, e in num}
-    for b, e in den:
-        k = _base_key(b)
-        if k not in exps or exps[k] < e:
-            return None
-    quota = {}
-    for b, e in num:
-        quota[_base_key(b)] = (b, e)
-    for b, e in den:
-        k = _base_key(b)
-        bb, ee = quota[k]
-        quota[k] = (bb, ee - e)
-    return _sorted_mono([(b, e) for b, e in quota.values() if e != 0])
-
-
-def _poly_div(num: dict, den: dict):
-    """Trial division; returns the quotient or None.
-
-    `_mono_order` is not a monomial order: it ranks q below Gamma, yet
-    q^2 above q*Gamma and q*Gamma below Gamma^2, so the product of leading
-    terms is not always the leading term of the product.  This division can
-    therefore return None on an exact quotient, such as
-    (2q + 2Gamma)(3q - Gamma) / (2q + 2Gamma), and `_cancel_denominators`
-    then keeps a denominator it could have cancelled.  Canonical forms
-    depend on that behaviour, so it stays; `_poly_exact_div` is the
-    division to use where the quotient is known to be exact.
-    """
-    if not den:
-        return None
-    dlead = max(den, key=_mono_order)
-    dcoeff = den[dlead]
-    rem = dict(num)
-    quot: dict = {}
-    # generous cap; give up (returning None) rather than loop on a
-    # non-terminating Laurent corner case
-    for _ in range(10000):
-        if not rem:
-            return quot
-        rlead = max(rem, key=_mono_order)
-        t = _mono_divides(rlead, dlead)
-        if t is None:
-            return None
-        c = rem[rlead] / dcoeff
-        quot[t] = quot.get(t, Fraction(0)) + c
-        for dm, dc in den.items():
-            m = _mono_mul(t, dm)
-            s = rem.get(m, Fraction(0)) - c * dc
-            if s:
-                rem[m] = s
-            else:
-                rem.pop(m, None)
-    return None
-
-
-def _poly_exact_div(num: dict, den: dict) -> dict:
-    """Quotient of a division known to be exact in the Laurent ring.
+def _poly_div(num: dict, den: dict) -> dict | None:
+    """Quotient num / den in the Laurent ring, or None when it is not exact.
 
     The bases of both operands are ordered by `_base_key`, and monomials by
     (total degree, exponent vector over those bases): a total order that
@@ -420,8 +357,8 @@ def _poly_exact_div(num: dict, den: dict) -> dict:
     The leading term of the remainder then always comes from the leading
     term of the quotient.  Every exponent of an exact quotient lies between
     the lowest and the highest exponents that num and den allow for its
-    base, and a term outside that box means the division is not exact: it
-    raises ArithmeticError, which is a defect of the caller.
+    base, and a term outside that box means the division is not exact, so
+    a non-exact division stops after finitely many steps.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -458,7 +395,7 @@ def _poly_exact_div(num: dict, den: dict) -> dict:
         rlead = max(rem)
         t = tuple(a - b for a, b in zip(rlead, dlead))
         if not all(l <= e <= h for l, e, h in zip(lo, t[1:], hi)):
-            raise ArithmeticError("polynomial division is not exact")
+            return None
         c = rem[rlead] / dcoeff
         quot[t] = c
         for dm, dc in dd.items():

@@ -353,9 +353,10 @@ def coarse_grained_factor(alpha) -> float:
 def mrl_partial_expr(e: Expr, name: str, alpha) -> Expr:
     """Fractional partial in one coordinate, all others held constant.
 
-    Applies the one-variable power rule term by term: the expression must be
-    polynomial-with-rational-powers in `name` (coefficients may involve the
-    other names).  Order 1 short-circuits to the ordinary partial.
+    Applies the one-variable power rule, `mrl_derivative_power`: the
+    expression must be polynomial-with-rational-powers in `name`
+    (coefficients may involve the other names).  Order 1 short-circuits to
+    the ordinary partial.
     """
     a = _order(alpha)
     if a == 1.0:
@@ -363,33 +364,25 @@ def mrl_partial_expr(e: Expr, name: str, alpha) -> Expr:
             return diff(e, name)
         except NonDifferentiable as exc:
             raise OutsideFragment(str(exc)) from exc
-    fa = Fraction(a)
-    x = Variable(name)
-    pieces = []
-    for coeff, beta in power_terms(e, name):
-        if beta == 0:
-            continue
-        pieces.append(Product((
-            coeff,
-            GammaFactor(Constant(beta + 1)),
-            Power(GammaFactor(Constant(beta + 1 - fa)), Fraction(-1)),
-            Power(x, beta - fa),
-        )))
-    if not pieces:
-        return Constant(Fraction(0))
-    return simplify(Sum(tuple(pieces)))
+    return mrl_derivative_power(SymbolicPower(e, name), a).expr
 
 
-def mrl_partial(e: Expr, name: str, alpha, binding) -> float:
+def _partial_at(partial_expr, e: Expr, name: str, alpha, binding) -> float:
+    """Evaluate a fractional partial at a point.  A fractional order needs a
+    nonnegative coordinate; evaluation failures map to OutsideFragment."""
     a = _order(alpha)
     val = float(binding[name]) if name in binding else None
     if a < 1.0 and val is not None and val < 0:
         raise OutsideFragment(
             f"coordinate '{name}' = {val} must be positive for fractional partials")
     try:
-        return evaluate(mrl_partial_expr(e, name, a), binding)
+        return evaluate(partial_expr(e, name, a), binding)
     except (ValueError, ZeroDivisionError) as exc:
         raise OutsideFragment(str(exc)) from exc
+
+
+def mrl_partial(e: Expr, name: str, alpha, binding) -> float:
+    return _partial_at(mrl_partial_expr, e, name, alpha, binding)
 
 
 def chain_partial_expr(e: Expr, name: str, alpha) -> Expr:
@@ -416,15 +409,7 @@ def chain_partial_expr(e: Expr, name: str, alpha) -> Expr:
 
 
 def chain_partial(e: Expr, name: str, alpha, binding) -> float:
-    a = _order(alpha)
-    val = float(binding[name]) if name in binding else None
-    if a < 1.0 and val is not None and val < 0:
-        raise OutsideFragment(
-            f"coordinate '{name}' = {val} must be positive for fractional partials")
-    try:
-        return evaluate(chain_partial_expr(e, name, a), binding)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise OutsideFragment(str(exc)) from exc
+    return _partial_at(chain_partial_expr, e, name, alpha, binding)
 
 
 def split_pairs(names: Sequence[str]):

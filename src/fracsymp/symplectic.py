@@ -29,7 +29,7 @@ from .expr import (
     Variable,
     ZERO,
     _poly_add,
-    _poly_exact_div,
+    _poly_div,
     _poly_mul,
     _rebuild,
     _to_poly,
@@ -435,7 +435,9 @@ def invert_form(f: SymplecticForm):
             minus_a = {m: -c for m, c in row[k].items()}
             for j in range(k + 1, 2 * n):
                 t = _poly_add(_poly_mul(p, row[j]), _poly_mul(minus_a, pivot[j]))
-                row[j] = _poly_exact_div(t, prev)
+                row[j] = _poly_div(t, prev)
+                if row[j] is None:
+                    raise ArithmeticError("fraction-free step is not exact")
         prev = p
     det = simplify(_rebuild({m: sign * c for m, c in prev.items()}))
     inv_det = simplify(Power(det, Fraction(-1)))
@@ -666,10 +668,6 @@ def fractional_equations_of_motion(m: Model):
     return out
 
 
-def _hj_multiplier_names(count: int):
-    return [f"lam_{k}" for k in range(1, count + 1)]
-
-
 def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None = None):
     """Coarse Hamilton-Jacobi right-hand sides for a phase-space model.
 
@@ -684,7 +682,7 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     coords = m.variables[:half]
     momenta = m.variables[half:]
     constraints = [simplify(c) for c in constraints]
-    lam_names = _hj_multiplier_names(len(constraints))
+    lam_names = _fresh_multipliers((), len(constraints))
     multipliers = dict(multipliers or {})
     h_eff = m.potential
     if constraints:

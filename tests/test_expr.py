@@ -72,6 +72,18 @@ def test_inverse_factors_cancel():
     assert abs(got - (1.7 - 0.3)) < 1e-12
 
 
+def test_exactly_divisible_multi_term_denominator_cancels():
+    # q ranks below Gamma(1 + alpha) among the bases, yet q^2 leads the
+    # product: the division needs a real monomial order to find 3q - Gamma
+    e = simplify(parse("(2*q + 2*Gamma(1 + alpha))*(3*q - Gamma(1 + alpha))"
+                       "*(2*q + 2*Gamma(1 + alpha))^(-1)"))
+    assert to_text(e) == "3*q - Gamma(1 + alpha)"
+    # not divisible: the denominator stays
+    kept = simplify(parse("(q^2 + 1)*(q + Gamma(1 + alpha))^(-1)"))
+    assert to_text(kept) == ("q^2*(q + Gamma(1 + alpha))^(-1)"
+                             " + (q + Gamma(1 + alpha))^(-1)")
+
+
 def test_diff_polynomial():
     e = parse("1/2*(p^2 + q^2) + q*p")
     assert diff(e, "q") == simplify(parse("q + p"))

@@ -273,7 +273,7 @@ def test_mrl_partial_order_one_is_ordinary():
 
 def test_mrl_partial_guards_negative_coordinate():
     e = parse_expression("q^2", variables=("q",))
-    with pytest.raises(OutsideFragment):
+    with pytest.raises(OutsideFragment, match="must be positive"):
         mrl_partial(e, "q", 0.5, {"q": -1.0})
 
 
@@ -289,6 +289,14 @@ def test_chain_partial_smooth_outer():
     e = parse_expression("1/2*p^2", variables=("p",))
     got = chain_partial(e, "p", 0.5, {"p": 1.0})
     assert abs(got - 1.0 / gamma(1.5)) < 1e-12
+
+
+def test_chain_partial_guards_negative_coordinate():
+    e = parse_expression("q^2", variables=("q",))
+    with pytest.raises(OutsideFragment, match="must be positive"):
+        chain_partial(e, "q", 0.5, {"q": -1.0})
+    # order 1 is the ordinary partial, defined at any coordinate
+    assert chain_partial(e, "q", 1.0, {"q": -1.0}) == -2.0
 
 
 def test_partial_semantics_differ_on_quadratics():

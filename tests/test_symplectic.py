@@ -21,7 +21,6 @@ from fracsymp.expr import (
     Product,
     Sum,
     _poly_div,
-    _poly_exact_div,
     _to_poly,
     evaluate,
     parse_expression,
@@ -528,18 +527,31 @@ def test_exact_division_recovers_quotient_under_a_monomial_order():
         "2*q + 2*Gamma(1 + alpha)", variables=names)), frozenset())
     want = _to_poly(simplify(parse_expression(
         "3*q - Gamma(1 + alpha)", variables=names)), frozenset())
-    assert _poly_exact_div(num, den) == want
-    # the trial division of _cancel_denominators misses this exact quotient
-    assert _poly_div(num, den) is None
-    with pytest.raises(ArithmeticError):
-        _poly_exact_div({**num, (): Fraction(1)}, den)
+    assert _poly_div(num, den) == want
+    assert _poly_div({**num, (): Fraction(1)}, den) is None
 
 
-# Polynomial atoms only: a multi-term determinant with negative powers
-# (q^(-1), (1 + q^2)^(-1)) sends the trial division of `simplify` to its
-# 10000-step cap, seconds per entry whichever way the inverse is computed.
-# The oracle corpus above covers those atoms.
-_ENTRY_ATOMS = ("q", "p", "Gamma(1 + alpha)")
+@pytest.mark.parametrize("entry, want", [
+    ("1 - (1 + q^2)^(-1)",
+     "-(1 + (1 + q^2)^(-2) - 2*(1 + q^2)^(-1))^(-1)"
+     " + (1 + (1 + q^2)^(-2) - 2*(1 + q^2)^(-1))^(-1)*(1 + q^2)^(-1)"),
+    ("1 + q^(-1)",
+     "-q^(-1)*(1 + q^(-2) + 2*q^(-1))^(-1) - (1 + q^(-2) + 2*q^(-1))^(-1)"),
+], ids=["one-minus-lorentzian", "one-plus-inverse"])
+def test_laurent_denominator_inverts_quickly(entry, want):
+    """A non-exact division by a Laurent polynomial stops at the exponent
+    box instead of expanding an infinite series."""
+    f = form_from_upper([[entry]], _ORACLE_NAMES)
+    start = time.perf_counter()
+    inv = invert_form(f)
+    elapsed = time.perf_counter() - start
+    assert to_text(inv[0][1]) == want
+    assert to_text(inv[1][0]) == to_text(simplify(
+        Product((Constant(Fraction(-1)), inv[0][1]))))
+    assert elapsed < 1.0
+
+
+_ENTRY_ATOMS = ("q", "p", "Gamma(1 + alpha)", "q^(-1)", "(1 + q^2)^(-1)")
 
 
 @st.composite
