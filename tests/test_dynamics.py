@@ -254,6 +254,25 @@ def test_overflow_detected():
         integrate(p)
 
 
+# Where float64 arithmetic gives inf or nan (an overflowing or zero-base
+# power, a negative base under a fractional power) the run stops at the
+# step whose state first turns non-finite.  The predictor-corrector stores
+# an overflowed rate one step before its state turns non-finite.
+@pytest.mark.parametrize("rhs, alpha, q0, h, scheme, step", [
+    ("q^2", 1.0, 1.0, 1e-3, GRUNWALD_LETNIKOV, 1017),
+    ("q^2", 1.0, 1.0, 1e-3, PREDICTOR_CORRECTOR, 1005),
+    ("q^3", 0.5, 1.0, 1e-3, GRUNWALD_LETNIKOV, 69),
+    ("q^3", 0.5, 1.0, 1e-3, PREDICTOR_CORRECTOR, 60),
+    ("-1 - q^(1/2)", 1.0, 0.5, 1e-2, GRUNWALD_LETNIKOV, 36),
+    ("-1 - q^(1/2)", 1.0, 0.5, 1e-2, PREDICTOR_CORRECTOR, 35),
+    ("q^(-1)", 1.0, 0.0, 0.1, GRUNWALD_LETNIKOV, 1),
+])
+def test_overflow_reported_at_first_non_finite_step(rhs, alpha, q0, h, scheme, step):
+    p = ivp(("q",), (rhs,), alpha, (q0,), 2.0, h, scheme=scheme)
+    with pytest.raises(Overflow, match="^non-finite state at step %d$" % step):
+        integrate(p)
+
+
 def test_memory_budget_guard():
     steps = MEMORY_BUDGET + 10
     p = ivp(("q",), ("-q",), 0.5, (1.0,), steps * 1e-4, 1e-4)

@@ -1,10 +1,19 @@
-"""Golden output: `fracsymp quantize` standard output, byte for byte.
+"""Golden output: `fracsymp quantize` standard output and `fracsymp
+simulate` trajectories, byte for byte.
 
 `tests/golden/<name>.json` holds what `quantize` printed for each bundled
 model and for `tests/golden/dense6_symbolic.model`, a dense 6-variable
 symbolic-order model whose two-form has a multi-term Gamma(1 + alpha)
 determinant.  Any change to a canonical form, to the constraint iteration
 or to the JSON rendering shows up here as a byte difference.
+
+`tests/golden/traj/<name>.csv` and its `.csv.json` sidecar hold what
+`simulate` wrote for each run in TRAJECTORIES: both fractional schemes on
+both compositions, full-history and windowed, the alpha = 1 Euler and Heun
+loops, and model-file runs whose right-hand sides carry multi-term
+polynomials, Gamma(1 + alpha), roots and inverse powers.  Every state is
+printed with 17 significant digits, so a change in any rounding of the
+stepping arithmetic shows up here.
 """
 
 import pathlib
@@ -16,6 +25,7 @@ from fracsymp.cli import main
 
 MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+TRAJ = GOLDEN / "traj"
 
 CASES = {
     "canonical_pair": (MODELS / "canonical_pair.model", 0),
@@ -34,3 +44,36 @@ def test_quantize_stdout_matches_golden(name, capsys):
     out, _ = capsys.readouterr()
     want = (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
     assert out == want
+
+
+_LANDAU = ("--landau", "1", "2", "1", "--alpha", "0.7", "--T", "1", "--h", "1e-2",
+           "--z0", "0.3,0.1", "--v0", "0.5,-0.2")
+_SEQUENTIAL = _LANDAU + ("--composition", "sequential-alpha-alpha")
+_GAMMA_ROOTS = (str(GOLDEN / "gamma_roots.model"), "--alpha", "0.6",
+                "--T", "1", "--h", "1e-2", "--initial", "0.8,-0.3")
+_ANHARMONIC = (str(GOLDEN / "anharmonic4.model"), "--T", "1", "--h", "1e-2",
+               "--initial", "0.5,-0.4,0.2,0.1")
+_GL = ("--scheme", "grunwald-letnikov")
+_PC = ("--scheme", "predictor-corrector")
+
+TRAJECTORIES = {
+    "landau_euler": _LANDAU + _GL,
+    "landau_heun": _LANDAU + _PC,
+    "landau_seq_gl": _SEQUENTIAL + _GL,
+    "landau_seq_pece": _SEQUENTIAL + _PC,
+    "landau_seq_gl_window": _SEQUENTIAL + _GL + ("--memory-window", "40"),
+    "landau_seq_pece_window": _SEQUENTIAL + _PC + ("--memory-window", "40"),
+    "gamma_roots_gl": _GAMMA_ROOTS + _GL,
+    "gamma_roots_pece": _GAMMA_ROOTS + _PC,
+    "anharmonic4_heun": _ANHARMONIC + _PC,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_simulate_csv_and_sidecar_match_golden(name, tmp_path, capsys):
+    out = tmp_path / (name + ".csv")
+    assert main(["simulate", *TRAJECTORIES[name], "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == (TRAJ / (name + ".csv")).read_bytes()
+    sidecar = name + ".csv.json"
+    assert (tmp_path / sidecar).read_bytes() == (TRAJ / sidecar).read_bytes()
