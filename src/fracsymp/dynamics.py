@@ -11,13 +11,24 @@ At alpha = 1 both dispatch to literal classical loops (explicit Euler and
 Heun respectively), so the classical limit is reproduced exactly rather
 than through cancellation in the fractional weights.
 
-Cost model of the fractional schemes: every weight family (the binomial
-weights, the predictor's k^alpha differences, the corrector's
-product-integration weights from frac.product_weights) is built once per
-run, with min(N, window) entries, and stored reversed.  A step takes one
-contiguous slice of each and one BLAS dot against the retained history, so
-a full-history run of N steps costs O(N^2) multiply-adds in those dots and
-a windowed run O(N * window).
+Cost model.  The right-hand side is one generated Python function of the
+state (expr.compile_expr), so an evaluation is one call returning a tuple.
+The classical loops step a list of Python floats and write each row into
+the state array as it is produced; each step costs one (Euler) or two
+(Heun) such calls plus O(d) float operations, with no numpy work.  In the
+fractional schemes every weight family (the binomial weights, the
+predictor's k^alpha differences, the corrector's product-integration
+weights from frac.product_weights) is built once per run, with
+min(N, window) entries, and stored reversed.  A step takes one contiguous
+slice of each and one BLAS dot against the retained history, so a
+full-history run of N steps costs O(N^2) multiply-adds in those dots and a
+windowed run O(N * window).
+
+Both kinds of loop give the float64 results bit for bit: where Python
+float arithmetic departs from float64 (an overflowing or zero-base power
+raises, a negative base under a fractional power turns complex), that
+evaluation or step is redone on float64 scalars, and the run stops with
+Overflow at the first step whose state is not finite.
 
 Initial data are plain state values at t = 0: the underlying derivative
 annihilates constants, so no fractional initial conditions are needed.
@@ -128,7 +139,9 @@ class FractionalIVP:
         return hashlib.sha1("\n".join(parts).encode()).hexdigest()
 
     def compiled_rhs(self) -> list:
-        return [compile_expr(e, self.variables, self.constants) for e in self.rhs]
+        """[F]: the right-hand side as one generated function, F(state) ->
+        tuple of the rates D^alpha variables[i]."""
+        return [compile_expr(self.rhs, self.variables, self.constants)]
 
 
 @dataclass(frozen=True)
@@ -183,20 +196,56 @@ def _check_finite(row: np.ndarray, step_index: int):
         raise Overflow("non-finite state at step %d" % step_index)
 
 
-def _euler(fs, y, times, h):
-    for n in range(1, len(times)):
-        rate = np.array([f(y[n - 1]) for f in fs])
-        y[n] = y[n - 1] + h * rate
-        _check_finite(y[n], n)
+# Raised by Python float arithmetic where float64 gives inf or nan: by `**`,
+# and by math.isfinite or gamma on the complex result of a negative base
+# under a fractional exponent.  The evaluation or step is redone on float64.
+_NOT_FLOAT64 = (OverflowError, ZeroDivisionError, TypeError)
 
 
-def _heun(fs, y, times, h):
-    for n in range(1, len(times)):
-        r0 = np.array([f(y[n - 1]) for f in fs])
-        guess = y[n - 1] + h * r0
-        r1 = np.array([f(guess) for f in fs])
-        y[n] = y[n - 1] + 0.5 * h * (r0 + r1)
-        _check_finite(y[n], n)
+def _rate(F, row: np.ndarray) -> np.ndarray:
+    """The right-hand side at a float64 state row, as a float64 array."""
+    try:
+        rate = np.array(F(row.tolist()))
+    except _NOT_FLOAT64:
+        return np.array(F(row))
+    return np.array(F(row)) if rate.dtype.kind == "c" else rate
+
+
+# The steps append in plain loops: on CPython 3.11 a list comprehension is a
+# call of its own, and these run once or twice per step.
+
+def _euler_step(F, cur, h):
+    out = []
+    for a, r in zip(cur, F(cur)):
+        out.append(a + h * r)
+    return out
+
+
+def _heun_step(F, cur, h):
+    r0 = F(cur)
+    guess = []
+    for a, r in zip(cur, r0):
+        guess.append(a + h * r)
+    hh = 0.5 * h
+    out = []
+    for a, r, s in zip(cur, r0, F(guess)):
+        out.append(a + hh * (r + s))
+    return out
+
+
+def _classical(step, F, y, h):
+    """Step a state list of Python floats, writing each row into y."""
+    cur = y[0].tolist()
+    for n in range(1, len(y)):
+        try:
+            cur = step(F, cur, h)
+            finite = all(map(math.isfinite, cur))
+        except _NOT_FLOAT64:
+            cur = step(F, list(y[n - 1]), h)
+            finite = all(map(math.isfinite, cur))
+        if not finite:
+            raise Overflow("non-finite state at step %d" % n)
+        y[n] = cur
 
 
 def _gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -206,7 +255,7 @@ def _gl_weights(alpha: float, count: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], factors)))
 
 
-def _gl_fractional(fs, y, times, h, alpha, window):
+def _gl_fractional(F, y, times, h, alpha, window):
     steps = len(times) - 1
     m = min(steps, window)
     # w_m .. w_1, so the history sum at step n is one contiguous slice
@@ -215,7 +264,7 @@ def _gl_fractional(fs, y, times, h, alpha, window):
     y0 = y[0].copy()
     dy = np.zeros_like(y)
     for n in range(1, steps + 1):
-        rate = np.array([f(y[n - 1]) for f in fs])
+        rate = _rate(F, y[n - 1])
         lo = max(0, n - window)
         # sum_j w_j (y_{n-j} - y_0) over the retained history j = 1..n-lo
         hist = wr[m - n + lo:] @ dy[lo:n]
@@ -224,7 +273,7 @@ def _gl_fractional(fs, y, times, h, alpha, window):
         dy[n] = y[n] - y0
 
 
-def _pece_fractional(fs, y, times, h, alpha, window):
+def _pece_fractional(F, y, times, h, alpha, window):
     steps = len(times) - 1
     m = min(steps, window)
     dim = y.shape[1]
@@ -239,19 +288,19 @@ def _pece_fractional(fs, y, times, h, alpha, window):
     cw = d2[::-1].copy()
     y0 = y[0].copy()
     rates = np.zeros((steps + 1, dim))
-    rates[0] = [f(y0) for f in fs]
+    rates[0] = _rate(F, y0)
     for n in range(1, steps + 1):
         lo = max(0, n - window)
         pred = y0 + pre_p * (pw[m - n + lo:] @ rates[lo:n])
         _check_finite(pred, n)
-        rate_p = np.array([f(pred) for f in fs])
+        rate_p = _rate(F, pred)
         if lo:
             hist = cw[m - n + lo:] @ rates[lo:n]
         else:
             hist = a0[n] * rates[0] + cw[m - n + 1:] @ rates[1:n]
         y[n] = y0 + pre_c * (hist + rate_p)
         _check_finite(y[n], n)
-        rates[n] = [f(y[n]) for f in fs]
+        rates[n] = _rate(F, y[n])
 
 
 def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
@@ -261,9 +310,10 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
     most recent `memory_window` steps (the short-memory principle).  This
     trades accuracy for O(N * window) cost; with no window the full-history
     sums are O(N^2) and runs longer than MEMORY_BUDGET steps are refused.
-    The history weights are built once per run, so the per-step cost is the
-    right-hand side plus one BLAS dot per weight family over the retained
-    history; a window at least as long as the run changes nothing.
+    The history weights are built once per run, so the per-step cost is one
+    call of the generated right-hand side plus one BLAS dot per weight
+    family over the retained history; a window at least as long as the run
+    changes nothing.
     """
     times = p.grid()
     steps = len(times) - 1
@@ -274,22 +324,20 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
             "%d steps exceed the %d-step full-history budget; pass a "
             "memory_window to accept truncation" % (steps, MEMORY_BUDGET))
     window = memory_window or steps
-    fs = p.compiled_rhs()
+    F, = p.compiled_rhs()
     y = np.zeros((steps + 1, p.dimension))
     y[0] = p.initial
     _check_finite(y[0], 0)
     # overflow in the arithmetic itself surfaces as the Overflow error at the
     # finiteness check, so the intermediate numpy warnings are redundant
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if p.alpha == 1.0:
-            if p.scheme == GRUNWALD_LETNIKOV:
-                _euler(fs, y, times, p.step)
-            else:
-                _heun(fs, y, times, p.step)
+            step = _euler_step if p.scheme == GRUNWALD_LETNIKOV else _heun_step
+            _classical(step, F, y, p.step)
         elif p.scheme == GRUNWALD_LETNIKOV:
-            _gl_fractional(fs, y, times, p.step, p.alpha, window)
+            _gl_fractional(F, y, times, p.step, p.alpha, window)
         else:
-            _pece_fractional(fs, y, times, p.step, p.alpha, window)
+            _pece_fractional(F, y, times, p.step, p.alpha, window)
     meta = {
         "variables": list(p.variables),
         "alpha": p.alpha,

@@ -10,6 +10,7 @@ equal.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -580,53 +581,61 @@ def evaluate(e: Expr, binding: Binding | None = None) -> float:
     return ev(e)
 
 
-def compile_expr(e: Expr, order: Iterable[str], binding: Binding | None = None) -> Callable:
-    """Compile to a closure over a state vector laid out as `order`.
+def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
+                 binding: Binding | None = None) -> Callable:
+    """Compile expressions into one function of a state laid out as `order`.
 
-    Names not in `order` must be satisfied by `binding` (or be gamma_ec).
-    Used by the integrators, where per-step evaluate() calls would dominate.
+    The result F takes a sequence y of len(order) numbers and returns the
+    tuple of the expressions' values.  Its Python source is generated from
+    the trees once and compiled (the idea behind SymPy's lambdify), so an
+    evaluation is one call with no per-node dispatch.  Names not in `order`
+    must be satisfied by `binding` (or be gamma_ec) and are compiled in as
+    constants; an unbound name raises UnboundSymbol here, not at call time.
+
+    Sums are emitted as (0 + a + ...) and products as (1.0 * a * ...), the
+    starting values and order of evaluate(), so F agrees with evaluate bit
+    for bit, signed zeros included.  The arithmetic is that of y's
+    elements: Python float ** raises OverflowError or ZeroDivisionError and
+    turns complex for a negative base under a fractional exponent, where
+    numpy float64 elements give inf or nan.
     """
-    idx = {name: i for i, name in enumerate(order)}
+    from .frac import gamma
+
+    order = tuple(order)
+    names = {name: "y%d" % i for i, name in enumerate(order)}
     b = dict(binding or {})
 
-    def comp(n) -> Callable:
+    def num(v: float) -> str:
+        return "(%s)" % (repr(v) if math.isfinite(v) else "float('%r')" % v)
+
+    def emit(n) -> str:
         if isinstance(n, Constant):
-            v = float(n.value)
-            return lambda y: v
+            return num(float(n.value))
         if isinstance(n, (Variable, SymbolicConstant)):
-            if n.name in idx:
-                i = idx[n.name]
-                return lambda y: y[i]
+            if n.name in names:
+                return names[n.name]
             if n.name in b:
-                v = float(b[n.name])
-                return lambda y: v
+                return num(float(b[n.name]))
             if n.name == RESERVED_EULER:
-                return lambda y: EULER_GAMMA
+                return num(EULER_GAMMA)
             raise UnboundSymbol(n.name)
         if isinstance(n, Sum):
-            parts = [comp(t) for t in n.terms]
-            return lambda y: sum(p(y) for p in parts)
+            return "(%s)" % " + ".join(["0"] + [emit(t) for t in n.terms])
         if isinstance(n, Product):
-            parts = [comp(f) for f in n.factors]
-
-            def prod(y):
-                out = 1.0
-                for p in parts:
-                    out *= p(y)
-                return out
-
-            return prod
+            return "(%s)" % " * ".join(["1.0"] + [emit(f) for f in n.factors])
         if isinstance(n, Power):
-            base = comp(n.base)
-            r = float(n.exponent)
-            return lambda y: base(y) ** r
+            return "(%s ** %s)" % (emit(n.base), num(float(n.exponent)))
         if isinstance(n, GammaFactor):
-            from .frac import gamma
-            inner = comp(n.arg)
-            return lambda y: gamma(inner(y))
+            return "_gamma(%s)" % emit(n.arg)
         raise TypeError(f"unknown node {n!r}")
 
-    return comp(e)
+    values = "".join(emit(e) + ", " for e in exprs)
+    slots = ", ".join("y%d" % i for i in range(len(order)))
+    unpack = "    %s, = y\n" % slots if order else ""
+    source = "def F(y):\n%s    return (%s)\n" % (unpack, values)
+    namespace = {"_gamma": gamma}
+    exec(compile(source, "<compile_expr>", "exec"), namespace)
+    return namespace["F"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Expression-tree core: parsing, canonical forms, calculus, evaluation."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsymp.expr import (
     EULER_GAMMA,
@@ -28,6 +31,7 @@ from fracsymp.expr import (
     to_text,
     var,
 )
+from fracsymp.frac import FracError
 
 
 def parse(text, variables=("q", "p", "x")):
@@ -131,11 +135,57 @@ def test_reserved_euler_constant():
 
 
 def test_compile_matches_evaluate():
-    e = parse("1/2*p^2 - q^3 + Gamma(1 + alpha)*q")
-    fn = compile_expr(e, ("q", "p"), {"alpha": 0.5})
+    exprs = [parse("1/2*p^2 - q^3 + Gamma(1 + alpha)*q"), parse("-p*q"), ONE]
+    fn = compile_expr(exprs, ("q", "p"), {"alpha": 0.5})
     for q, p in ((0.5, 1.0), (2.0, -1.0), (1.0, 0.0)):
-        want = evaluate(e, {"q": q, "p": p, "alpha": 0.5})
-        assert abs(fn((q, p)) - want) < 1e-14
+        want = tuple(evaluate(e, {"q": q, "p": p, "alpha": 0.5}) for e in exprs)
+        assert _bits(fn((q, p))) == _bits(want)
+    with pytest.raises(UnboundSymbol):
+        compile_expr(exprs, ("q", "p"))
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+_EXPONENTS = [Fraction(k) for k in (2, 3, -1, -2)] + [
+    Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2)]
+_LEAVES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3),
+                     Fraction(7, 2)]).map(Constant),
+    st.sampled_from([var("q"), var("p"), sym("k"), sym("gamma_ec")]))
+
+
+def _compound(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.lists(children, min_size=1, max_size=3).map(lambda fs: Product(tuple(fs))),
+        st.builds(Power, children, st.sampled_from(_EXPONENTS)),
+        children.map(GammaFactor))
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.recursive(_LEAVES, _compound, max_leaves=12),
+                min_size=1, max_size=3),
+       _POSITIVE, _POSITIVE, _POSITIVE)
+def test_compiled_vector_matches_evaluate_bitwise(exprs, q, p, k):
+    """On trees of sums, products, integer, fractional and negative powers,
+    Gamma factors, bound symbols and gamma_ec at positive points, the
+    generated function returns evaluate()'s values bit for bit, or raises
+    what evaluate raises on the first failing component."""
+    fn = compile_expr(exprs, ("q", "p"), {"k": k})
+    want = []
+    for e in exprs:
+        try:
+            want.append(evaluate(e, {"q": q, "p": p, "k": k}))
+        except (ArithmeticError, ValueError, FracError) as exc:
+            with pytest.raises(type(exc)):
+                fn([q, p])
+            return
+    assert _bits(fn([q, p])) == _bits(want)
 
 
 def test_free_names():
