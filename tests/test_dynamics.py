@@ -271,6 +271,8 @@ def test_overflow_detected():
     ("q^3", 0.5, 1.0, 1e-3, PREDICTOR_CORRECTOR, 60),
     ("-1 - q^(1/2)", 1.0, 0.5, 1e-2, GRUNWALD_LETNIKOV, 36),
     ("-1 - q^(1/2)", 1.0, 0.5, 1e-2, PREDICTOR_CORRECTOR, 35),
+    ("-1 - q^(1/2)", 0.5, 0.5, 1e-2, GRUNWALD_LETNIKOV, 14),
+    ("-1 - q^(1/2)", 0.5, 0.5, 1e-2, PREDICTOR_CORRECTOR, 12),
     ("q^(-1)", 1.0, 0.0, 0.1, GRUNWALD_LETNIKOV, 1),
 ])
 def test_overflow_reported_at_first_non_finite_step(rhs, alpha, q0, h, scheme, step):
@@ -279,6 +281,19 @@ def test_overflow_reported_at_first_non_finite_step(rhs, alpha, q0, h, scheme, s
         warnings.simplefilter("error")
         with pytest.raises(Overflow, match="^non-finite state at step %d$" % step):
             integrate(p)
+
+
+@pytest.mark.parametrize("alpha, scheme", [(1.0, GRUNWALD_LETNIKOV),
+                                           (1.0, PREDICTOR_CORRECTOR),
+                                           (0.5, GRUNWALD_LETNIKOV),
+                                           (0.5, PREDICTOR_CORRECTOR)])
+def test_overflow_absorbed_in_float64_does_not_stop_the_run(alpha, scheme):
+    # q^400 overflows at q = 10, but (1 + inf)^(-1) = 0 in float64
+    p = ivp(("q",), ("(1 + q^400)^(-1)",), alpha, (10.0,), 1.0, 0.1,
+            scheme=scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (integrate(p).states == 10.0).all()
 
 
 def test_memory_budget_guard():

@@ -135,7 +135,9 @@ def test_reserved_euler_constant():
 
 
 def test_compile_matches_evaluate():
-    exprs = [parse("1/2*p^2 - q^3 + Gamma(1 + alpha)*q"), parse("-p*q"), ONE]
+    # Sum((-p,)) is +0.0 at p = 0, as in evaluate's sum() from 0
+    exprs = [parse("1/2*p^2 - q^3 + Gamma(1 + alpha)*q"), parse("-p*q"),
+             Sum((-var("p"),)), ONE]
     fn = compile_expr(exprs, ("q", "p"), {"alpha": 0.5})
     for q, p in ((0.5, 1.0), (2.0, -1.0), (1.0, 0.0)):
         want = tuple(evaluate(e, {"q": q, "p": p, "alpha": 0.5}) for e in exprs)
