@@ -2,9 +2,11 @@
 simulate` trajectories, byte for byte.
 
 `tests/golden/<name>.json` holds what `quantize` printed for each bundled
-model and for `tests/golden/dense6_symbolic.model`, a dense 6-variable
-symbolic-order model whose two-form has a multi-term Gamma(1 + alpha)
-determinant.  Any change to a canonical form, to the constraint iteration
+model and for two models under `tests/golden/`: `dense6_symbolic.model`,
+a dense 6-variable symbolic-order model whose two-form has a multi-term
+Gamma(1 + alpha) determinant, and `laurent_pfaffian.model`, whose
+(1 + c^2)^(-1) entries make `simplify` cancel a multi-term denominator by
+exact division.  Any change to a canonical form, to the constraint iteration
 or to the JSON rendering shows up here as a byte difference.
 
 `tests/golden/traj/<name>.csv` and its `.csv.json` sidecar hold what
@@ -34,6 +36,7 @@ CASES = {
     "landau_full": (MODELS / "landau_full.model", 0),
     "landau_strong": (MODELS / "landau_strong.model", 0),
     "dense6_symbolic": (GOLDEN / "dense6_symbolic.model", 0),
+    "laurent_pfaffian": (GOLDEN / "laurent_pfaffian.model", 0),
 }
 
 
