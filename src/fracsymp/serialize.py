@@ -8,24 +8,16 @@ verbatim (callers construct dicts in the order they want serialized).
 from __future__ import annotations
 
 
+# JSON string escapes: the short forms for quote, backslash, newline, tab
+# and carriage return, \u00XX for every other control character, and no
+# \b or \f (json.dumps writes those, which would change the bytes)
+_ESCAPES = {i: "\\u%04x" % i for i in range(0x20)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n",
+                 ord("\t"): "\\t", ord("\r"): "\\r"})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def render_json(obj, indent: int = 0) -> str:
