@@ -6,6 +6,12 @@ gamma-function factors.  Coefficients and exponents are `fractions.Fraction`,
 so simplification is exact: two expressions in the polynomial / rational-power
 fragment are mathematically equal iff their canonical forms are structurally
 equal.
+
+Each node computes its hash and its sort key (type rank, repr) once, on
+first use, and keeps them, so sorting and merging monomials does not walk
+the trees again.  Inside the polynomial dicts of `simplify` an exponent is
+a `Fraction` or a plain `int` (an atom enters with exponent 1); nodes
+always hold `Fraction`s, so trees, text and JSON are the same either way.
 """
 
 from __future__ import annotations
@@ -51,7 +57,26 @@ def _coerce(x) -> "Expr":
 
 
 class Expr:
-    __slots__ = ()
+    """Base of the expression nodes: frozen dataclasses that store their
+    hash and their sort key `(_RANKS[type], repr)` on first use.
+
+    The stored hash is the dataclass field-tuple hash and the repr is the
+    dataclass repr, both computed once per node; a parent's repr reuses its
+    children's.  Every order and every dict is the one the dataclass
+    methods would give."""
+
+    __slots__ = ("_hash", "_key")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._field_hash()
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __repr__(self):
+        return _base_key(self)[1]
 
     def __add__(self, other):
         return Sum((self, _coerce(other)))
@@ -84,7 +109,16 @@ class Expr:
         return Product((Constant(Fraction(-1)), self))
 
 
-@dataclass(frozen=True, eq=True)
+def _node(cls):
+    """Make `cls` a frozen dataclass whose generated __hash__ and __repr__
+    back the stored values of Expr."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash, cls._field_repr = cls.__hash__, cls.__repr__
+    cls.__hash__, cls.__repr__ = Expr.__hash__, Expr.__repr__
+    return cls
+
+
+@_node
 class Constant(Expr):
     value: Fraction
 
@@ -93,17 +127,17 @@ class Constant(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, eq=True)
+@_node
 class SymbolicConstant(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=True)
+@_node
 class Variable(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=True)
+@_node
 class Sum(Expr):
     terms: tuple
 
@@ -111,7 +145,7 @@ class Sum(Expr):
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
-@dataclass(frozen=True, eq=True)
+@_node
 class Product(Expr):
     factors: tuple
 
@@ -119,7 +153,7 @@ class Product(Expr):
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-@dataclass(frozen=True, eq=True)
+@_node
 class Power(Expr):
     base: Expr
     exponent: Fraction
@@ -129,7 +163,7 @@ class Power(Expr):
             object.__setattr__(self, "exponent", Fraction(self.exponent))
 
 
-@dataclass(frozen=True, eq=True)
+@_node
 class GammaFactor(Expr):
     arg: Expr
 
@@ -165,9 +199,22 @@ def gamma_of(e) -> GammaFactor:
 
 _RANKS = {Constant: 0, SymbolicConstant: 1, Variable: 2, GammaFactor: 3, Power: 4, Sum: 5, Product: 6}
 
+_ONE = Fraction(1)
+
+# Gamma(n) of a positive integer folds to the exact (n - 1)! while that is
+# finite in float64; past it the factorial runs to thousands of digits, and
+# nested Gamma factors of integers would ask for astronomically large ones,
+# so the factor stays opaque.
+_GAMMA_FOLD_MAX = 171
+
 
 def _base_key(b: Expr):
-    return (_RANKS[type(b)], repr(b))
+    try:
+        return b._key
+    except AttributeError:
+        k = (_RANKS[type(b)], b._field_repr())
+        object.__setattr__(b, "_key", k)
+        return k
 
 
 def _mono_key(mono):
@@ -178,48 +225,67 @@ def _sorted_mono(pairs) -> tuple:
     return tuple(sorted(pairs, key=lambda be: _base_key(be[0])))
 
 
-def _poly_add(p1: dict, p2: dict) -> dict:
-    out = dict(p1)
-    for m, c in p2.items():
-        s = out.get(m, Fraction(0)) + c
+def _accumulate(out: dict, m, c):
+    """out[m] += c, dropping the monomial when its coefficient cancels."""
+    prev = out.get(m)
+    if prev is None:
+        out[m] = c
+    else:
+        s = prev + c
         if s:
             out[m] = s
         else:
-            out.pop(m, None)
+            del out[m]
+
+
+def _poly_add(p1: dict, p2: dict) -> dict:
+    out = dict(p1)
+    for m, c in p2.items():
+        _accumulate(out, m, c)
     return out
 
 
-def _mono_mul(m1, m2):
+def _monomial(exps: dict) -> tuple:
+    """(monomial, rational factor) of a {base: exponent} map.  Zero
+    exponents drop out, and a constant base under an integer exponent
+    moves into the factor: a monomial keeps constants only under
+    fractional exponents."""
+    factor = _ONE
+    pairs = []
+    for b, e in exps.items():
+        if isinstance(b, Constant) and e.denominator == 1:
+            factor *= b.value ** int(e)
+        elif e:
+            pairs.append((b, e))
+    return _sorted_mono(pairs), factor
+
+
+def _mono_mul(m1, m2) -> tuple:
+    """(monomial, rational factor) of the product m1 * m2."""
+    if not m1:
+        return m2, _ONE
+    if not m2:
+        return m1, _ONE
     exps = {}
-    order = []
     for b, e in m1 + m2:
-        k = _base_key(b)
-        if k in exps:
-            prev_b, prev_e = exps[k]
-            exps[k] = (prev_b, prev_e + e)
-        else:
-            exps[k] = (b, e)
-            order.append(k)
-    pairs = [exps[k] for k in order if exps[k][1] != 0]
-    return _sorted_mono(pairs)
+        prev = exps.get(b)
+        exps[b] = e if prev is None else prev + e
+    return _monomial(exps)
 
 
 def _poly_mul(p1: dict, p2: dict) -> dict:
     out: dict = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
+            m, f = _mono_mul(m1, m2)
             c = c1 * c2
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            # f is the shared one unless two constant roots multiplied out
+            _accumulate(out, m, c if f is _ONE else c * f)
     return out
 
 
 def _poly_int_pow(p: dict, n: int) -> dict:
-    result = {(): Fraction(1)}
+    result = {(): _ONE}
     base = p
     while n:
         if n & 1:
@@ -264,25 +330,22 @@ def _to_poly(e: Expr, positive: frozenset) -> dict:
     if isinstance(e, Constant):
         return {(): e.value} if e.value else {}
     if isinstance(e, (Variable, SymbolicConstant)):
-        return {((e, Fraction(1)),): Fraction(1)}
+        return {((e, 1),): _ONE}
     if isinstance(e, GammaFactor):
         arg = _rebuild(_to_poly(e.arg, positive))
         if isinstance(arg, Constant) and arg.value.denominator == 1:
             n = arg.value.numerator
-            if n > 0:
-                fact = Fraction(1)
-                for i in range(2, n):
-                    fact *= i
-                return {(): fact}
-        atom = GammaFactor(arg)
-        return {((atom, Fraction(1)),): Fraction(1)}
+            if 0 < n <= _GAMMA_FOLD_MAX:
+                return {(): Fraction(math.factorial(n - 1))}
+        return {((GammaFactor(arg), 1),): _ONE}
     if isinstance(e, Sum):
         out: dict = {}
         for t in e.terms:
-            out = _poly_add(out, _to_poly(t, positive))
+            for m, c in _to_poly(t, positive).items():
+                _accumulate(out, m, c)
         return out
     if isinstance(e, Product):
-        out = {(): Fraction(1)}
+        out = {(): _ONE}
         for f in e.factors:
             out = _poly_mul(out, _to_poly(f, positive))
         return out
@@ -293,7 +356,7 @@ def _to_poly(e: Expr, positive: frozenset) -> dict:
 
 def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
     if r == 0:
-        return {(): Fraction(1)}
+        return {(): _ONE}
     if r == 1:
         return p
     if not p:
@@ -308,23 +371,21 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
             (mono, c), = p.items()
             inv_mono = _sorted_mono([(b, -e) for b, e in mono])
             return _poly_int_pow({inv_mono: 1 / c}, -n)
-        wrapper = _rebuild(p)
-        return {((wrapper, Fraction(n)),): Fraction(1)}
-    # fractional exponent
-    if len(p) == 1:
+    elif len(p) == 1:
         (mono, c), = p.items()
         if c > 0 and all(_is_positive_base(b, positive) for b, _ in mono):
             root = _rational_root(c, r)
             pairs = [(b, e * r) for b, e in mono]
             if root is None:
                 pairs.append((Constant(c), r))
-                coeff = Fraction(1)
+                coeff = _ONE
             else:
                 coeff = root
             pairs = [(b, e) for b, e in pairs if e != 0]
             return {_sorted_mono(pairs): coeff}
-    wrapper = _rebuild(p)
-    return {((wrapper, r),): Fraction(1)}
+    # a multi-term base under a negative integer or any fractional power,
+    # or a base not known to be positive, stays one opaque factor
+    return {((_rebuild(p), r),): _ONE}
 
 
 def _rebuild(p: dict) -> Expr:
@@ -349,17 +410,31 @@ def _rebuild(p: dict) -> Expr:
 
 # -- exact Laurent-polynomial division ---------------------------------------
 
+def _exponent_ranges(p: dict) -> dict:
+    """{base: (lowest, highest) exponent} over the monomials of p; a
+    monomial without the base counts as exponent 0."""
+    seen: dict = {}
+    for m in p:
+        for b, e in m:
+            lo, hi, n = seen.get(b, (e, e, 0))
+            seen[b] = (min(lo, e), max(hi, e), n + 1)
+    return {b: (lo, hi) if n == len(p) else (min(lo, 0), max(hi, 0))
+            for b, (lo, hi, n) in seen.items()}
+
+
 def _poly_div(num: dict, den: dict) -> dict | None:
     """Quotient num / den in the Laurent ring, or None when it is not exact.
 
-    The bases of both operands are ordered by `_base_key`, and monomials by
+    Every exponent of an exact quotient lies between the lowest and the
+    highest exponents that num and den allow for its base, so an empty box
+    means the division is not exact before any monomial is compared.  The
+    bases of both operands are ordered by `_base_key`, and monomials by
     (total degree, exponent vector over those bases): a total order that
     respects multiplication, also with negative and rational exponents.
     The leading term of the remainder then always comes from the leading
-    term of the quotient.  Every exponent of an exact quotient lies between
-    the lowest and the highest exponents that num and den allow for its
-    base, and a term outside that box means the division is not exact, so
-    a non-exact division stops after finitely many steps.
+    term of the quotient, and a quotient term outside the box means the
+    division is not exact, so a non-exact division stops after finitely
+    many steps.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -371,24 +446,28 @@ def _poly_div(num: dict, den: dict) -> dict | None:
             return {m: v / c for m, v in num.items()}
         inv = {_sorted_mono([(b, -e) for b, e in mono]): 1 / c}
         return _poly_mul(num, inv)
-    bases = sorted({b for p in (num, den) for m in p for b, _ in m},
-                   key=_base_key)
+    nr, dr = _exponent_ranges(num), _exponent_ranges(den)
+    bases = sorted(nr.keys() | dr.keys(), key=_base_key)
+    lo, hi = [], []
+    for b in bases:
+        (nlo, nhi), (dlo, dhi) = nr.get(b, (0, 0)), dr.get(b, (0, 0))
+        if nlo - dlo > nhi - dhi:
+            return None
+        lo.append(nlo - dlo)
+        hi.append(nhi - dhi)
     slot = {b: i for i, b in enumerate(bases)}
 
     def dense(p):
+        # column 0 of a dense key is the total degree, the rest one per base
         out = {}
         for m, c in p.items():
-            v = [Fraction(0)] * len(bases)
+            v = [0] * len(bases)
             for b, e in m:
                 v[slot[b]] = e
-            out[(sum(v, Fraction(0)), *v)] = c
+            out[(sum(v), *v)] = c
         return out
 
     rem, dd = dense(num), dense(den)
-    # column 0 of the dense keys is the total degree, the rest one per base
-    ncols, dcols = list(zip(*rem))[1:], list(zip(*dd))[1:]
-    lo = [min(a) - min(b) for a, b in zip(ncols, dcols)]
-    hi = [max(a) - max(b) for a, b in zip(ncols, dcols)]
     dlead = max(dd)
     dcoeff = dd[dlead]
     quot = {}
@@ -400,50 +479,46 @@ def _poly_div(num: dict, den: dict) -> dict | None:
         c = rem[rlead] / dcoeff
         quot[t] = c
         for dm, dc in dd.items():
-            m = tuple(a + b for a, b in zip(t, dm))
-            s = rem.get(m, Fraction(0)) - c * dc
-            if s:
-                rem[m] = s
-            else:
-                del rem[m]
-    return {tuple((b, e) for b, e in zip(bases, t[1:]) if e): c
-            for t, c in quot.items()}
+            _accumulate(rem, tuple(a + b for a, b in zip(t, dm)), -c * dc)
+    out: dict = {}
+    for t, c in quot.items():
+        m, f = _monomial(dict(zip(bases, t[1:])))
+        _accumulate(out, m, c * f)
+    return out
 
 
 def _cancel_denominators(p: dict, positive: frozenset) -> dict:
     # group monomials by their multi-term-sum denominator signature and try
     # to divide the numerator group by each denominator polynomial
     groups: dict = {}
+    divided = False
     for mono, c in p.items():
         denom = tuple((b, e) for b, e in mono if e < 0 and isinstance(b, Sum))
         rest = tuple((b, e) for b, e in mono if not (e < 0 and isinstance(b, Sum)))
-        key = _mono_key(denom)
-        groups.setdefault(key, (denom, {}))[1][rest] = c
+        groups.setdefault(denom, {})[rest] = c
     out: dict = {}
-    for denom, numer in groups.values():
+    for denom, numer in groups.items():
         denom = list(denom)
         changed = True
         while changed and denom:
             changed = False
             for i, (base, e) in enumerate(denom):
-                dpoly = _to_poly(base, positive)
-                q = _poly_div(numer, dpoly)
+                q = _poly_div(numer, _to_poly(base, positive))
                 if q is not None:
                     numer = q
+                    divided = True
                     if e + 1 == 0:
                         denom.pop(i)
                     else:
                         denom[i] = (base, e + 1)
                     changed = True
                     break
+        dmono = tuple(denom)
         for mono, c in numer.items():
-            full = _mono_mul(mono, _sorted_mono(denom))
-            s = out.get(full, Fraction(0)) + c
-            if s:
-                out[full] = s
-            else:
-                out.pop(full, None)
-    return out
+            m, f = _mono_mul(mono, dmono)
+            _accumulate(out, m, c * f)
+    # a quotient merged into another group can make that group divisible
+    return _cancel_denominators(out, positive) if divided else out
 
 
 def simplify(e: Expr, positive: Iterable[str] = ()) -> Expr:
@@ -591,15 +666,18 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
     evaluation is one call with no per-node dispatch.  Names not in `order`
     must be satisfied by `binding` (or be gamma_ec) and are compiled in as
     constants; an unbound name raises UnboundSymbol here, not at call time.
+    A base that depends on no state variable and is negative under a
+    fractional exponent raises ExprError here: F would return a complex
+    number.
 
     Sums are emitted as (0 + a + ...) and products as (1.0 * a * ...), the
     starting values and order of evaluate(), so F agrees with evaluate bit
     for bit, signed zeros included.  The arithmetic is that of y's
     elements: Python float ** raises OverflowError or ZeroDivisionError and
-    turns complex for a negative base under a fractional exponent, where
-    numpy float64 elements give inf or nan.
+    turns complex for a negative state-dependent base under a fractional
+    exponent, where numpy float64 elements give inf or nan.
     """
-    from .frac import gamma
+    from .frac import FracError, gamma
 
     order = tuple(order)
     names = {name: "y%d" % i for i, name in enumerate(order)}
@@ -624,7 +702,17 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
         if isinstance(n, Product):
             return "(%s)" % " * ".join(["1.0"] + [emit(f) for f in n.factors])
         if isinstance(n, Power):
-            return "(%s ** %s)" % (emit(n.base), num(float(n.exponent)))
+            base = emit(n.base)
+            if (n.exponent.denominator != 1
+                    and names.keys().isdisjoint(free_names(n.base))):
+                try:
+                    evaluate(n, b)
+                except ValueError as exc:  # a negative base: complex power
+                    raise ExprError("cannot compile %s: %s"
+                                    % (to_text(n), exc)) from None
+                except (ArithmeticError, FracError):
+                    pass  # raised by F itself, as by evaluate
+            return "(%s ** %s)" % (base, num(float(n.exponent)))
         if isinstance(n, GammaFactor):
             return "_gamma(%s)" % emit(n.arg)
         raise TypeError(f"unknown node {n!r}")

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -152,6 +153,20 @@ def test_simulate_model_file(capsys, tmp_path):
                          "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "t,q,p"
+
+
+def test_simulate_refuses_complex_right_hand_side(capsys, tmp_path):
+    path = tmp_path / "negative_root.model"
+    path.write_text("variables: q, p\nalpha: 1\nkinetic q: p\nkinetic p: 0\n"
+                    "potential: 1/2*p^2 + 1/2*(-2)^(1/2)*q^2\n")
+    out_path = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", str(path), "--initial", "1,0",
+                             "--T", "1", "--h", "0.1", "--out", str(out_path))
+    assert code == 1
+    assert "cannot compile (-2)^(1/2)" in err
+    assert not out_path.exists()
 
 
 def test_simulate_needs_exactly_one_source(capsys, tmp_path):

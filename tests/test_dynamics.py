@@ -25,7 +25,7 @@ from fracsymp.dynamics import (
     measure_frequency,
     simulate_landau,
 )
-from fracsymp.expr import evaluate, parse_expression
+from fracsymp.expr import ExprError, evaluate, parse_expression
 from fracsymp.frac import gamma
 
 
@@ -294,6 +294,25 @@ def test_overflow_absorbed_in_float64_does_not_stop_the_run(alpha, scheme):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (integrate(p).states == 10.0).all()
+
+
+# A base that no state variable reaches and that is negative under a
+# fractional power would make the generated right-hand side complex; it is
+# refused before the first step, bound constants included.
+@pytest.mark.parametrize("alpha, scheme", [(1.0, GRUNWALD_LETNIKOV),
+                                           (1.0, PREDICTOR_CORRECTOR),
+                                           (0.5, GRUNWALD_LETNIKOV),
+                                           (0.5, PREDICTOR_CORRECTOR)])
+@pytest.mark.parametrize("rhs, constants", [("(-2)^(1/2)*q", {}),
+                                            ("c^(1/2)*q", {"c": -2.0})])
+def test_negative_constant_base_under_fractional_power_is_refused(
+        alpha, scheme, rhs, constants):
+    p = ivp(("q",), (rhs,), alpha, (1.0,), 1.0, 0.1, scheme=scheme,
+            constants=constants)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprError, match="negative base -2.0 under fractional"):
+            integrate(p)
 
 
 def test_memory_budget_guard():

@@ -1,11 +1,12 @@
 """Expression-tree core: parsing, canonical forms, calculus, evaluation."""
 
+import dataclasses
 import math
 import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracsymp.expr import (
@@ -13,6 +14,7 @@ from fracsymp.expr import (
     Constant,
     GammaFactor,
     ONE,
+    NonDifferentiable,
     ParseError,
     Power,
     Product,
@@ -31,6 +33,7 @@ from fracsymp.expr import (
     to_text,
     var,
 )
+from fracsymp.expr import _RANKS, _base_key
 from fracsymp.frac import FracError
 
 
@@ -227,3 +230,95 @@ def test_node_equality_is_structural():
 def test_to_text_deterministic():
     e = simplify(parse("p*q + q^2 - 1/2"))
     assert to_text(e) == to_text(simplify(parse("q^2 + q*p - 1/2")))
+
+
+# -- properties of the canonical form ------------------------------------------
+
+_TREES = st.recursive(_LEAVES, _compound, max_leaves=8)
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _canonical(e):
+    try:
+        return simplify(e)
+    except ZeroDivisionError:  # zero under a negative power
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_simplify_is_idempotent(e):
+    s = _canonical(e)
+    assert to_text(simplify(s)) == to_text(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_text_round_trip_up_to_simplify(e):
+    s = _canonical(e)
+    assert simplify(parse(to_text(s))) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, _TREES, _RATIONALS, _RATIONALS)
+def test_diff_is_linear(x, y, a, b):
+    combo = Sum((Product((Constant(a), x)), Product((Constant(b), y))))
+    try:
+        dx, dy, dcombo = diff(x, "q"), diff(y, "q"), diff(combo, "q")
+    except (NonDifferentiable, ZeroDivisionError):
+        assume(False)
+    want = Sum((Product((Constant(a), dx)), Product((Constant(b), dy))))
+    assert dcombo == simplify(want)
+
+
+# -- stored sort keys and hashes -----------------------------------------------
+
+def _children(n):
+    if isinstance(n, Sum):
+        return n.terms
+    if isinstance(n, Product):
+        return n.factors
+    if isinstance(n, Power):
+        return (n.base,)
+    if isinstance(n, GammaFactor):
+        return (n.arg,)
+    return ()
+
+
+def _rebuilt(n):
+    """An equal tree of new nodes, built from the raw field values that
+    __post_init__ normalises: lists for tuples, int for Fraction."""
+    def raw(v):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(n, Constant):
+        return Constant(raw(n.value))
+    if isinstance(n, Sum):
+        return Sum([_rebuilt(t) for t in n.terms])
+    if isinstance(n, Product):
+        return Product([_rebuilt(f) for f in n.factors])
+    if isinstance(n, Power):
+        return Power(_rebuilt(n.base), raw(n.exponent))
+    if isinstance(n, GammaFactor):
+        return GammaFactor(_rebuilt(n.arg))
+    return type(n)(n.name)
+
+
+def _assert_stored_values_fresh(n):
+    # children first: a node's field repr and field hash use its children's
+    # stored values, which are then known to be fresh
+    for c in _children(n):
+        _assert_stored_values_fresh(c)
+    fields = tuple(getattr(n, f.name) for f in dataclasses.fields(n))
+    assert _base_key(n) == (_RANKS[type(n)], type(n)._field_repr(n))
+    assert repr(n) == _base_key(n)[1]
+    assert hash(n) == hash(fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_stored_key_and_hash_match_fresh_values(e):
+    for tree in (e, _rebuilt(e), _canonical(e), _rebuilt(_canonical(e))):
+        _assert_stored_values_fresh(tree)
+    twin = _rebuilt(e)
+    assert twin == e and twin is not e
+    assert hash(twin) == hash(e) and _base_key(twin) == _base_key(e)
