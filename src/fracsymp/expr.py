@@ -191,11 +191,13 @@ def gamma_of(e) -> GammaFactor:
 # ---------------------------------------------------------------------------
 # canonicalization
 #
-# Internal normal form: {monomial: coefficient} where a monomial is a sorted
-# tuple of (base, exponent) pairs.  Bases are atoms (variables, symbolic
+# Internal normal form: {monomial: Fraction coefficient} where a monomial is
+# a tuple of (base, exponent) pairs sorted by `_base_key`, with a nonzero
+# Fraction or int exponent.  Bases are atoms (variables, symbolic
 # constants, gamma factors) or irreducible sub-expressions kept opaque
 # (multi-term sums under a non-expandable power, non-positive bases under a
-# fractional power, non-perfect rational roots of constants).
+# fractional power, non-perfect rational roots of constants, which keep a
+# fractional exponent).
 
 _RANKS = {Constant: 0, SymbolicConstant: 1, Variable: 2, GammaFactor: 3, Power: 4, Sum: 5, Product: 6}
 
@@ -767,7 +769,7 @@ def _factor_text(b: Expr, e: Fraction) -> str:
 
 def _term_text(t: Expr) -> tuple:
     """(sign, unsigned text) of one canonical term."""
-    coeff = Fraction(1)
+    coeff = _ONE
     factors = []
     if isinstance(t, Product):
         parts = list(t.factors)
@@ -779,7 +781,7 @@ def _term_text(t: Expr) -> tuple:
         elif isinstance(p, Power):
             factors.append((p.base, p.exponent))
         else:
-            factors.append((p, Fraction(1)))
+            factors.append((p, _ONE))
     sign = -1 if coeff < 0 else 1
     coeff = abs(coeff)
     texts = [_factor_text(b, e) for b, e in factors]
