@@ -16,6 +16,7 @@ always hold `Fraction`s, so trees, text and JSON are the same either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -196,18 +197,23 @@ def gamma_of(e) -> GammaFactor:
 # Fraction or int exponent.  Bases are atoms (variables, symbolic
 # constants, gamma factors) or irreducible sub-expressions kept opaque
 # (multi-term sums under a non-expandable power, non-positive bases under a
-# fractional power, non-perfect rational roots of constants, which keep a
-# fractional exponent).
+# fractional power, non-perfect rational roots of constants).
+#
+# The arithmetic treats a constant base like any other symbol, so that
+# 2^(1/2)*2^(1/2) is the monomial 2^1 and exact division stays exact in
+# that ring.  `_fold_constants` multiplies such integer powers out; it runs
+# wherever a tree is built from a dict, and before `_power_poly` decides
+# whether its base is one monomial.
 
 _RANKS = {Constant: 0, SymbolicConstant: 1, Variable: 2, GammaFactor: 3, Power: 4, Sum: 5, Product: 6}
 
 _ONE = Fraction(1)
 
-# Gamma(n) of a positive integer folds to the exact (n - 1)! while that is
-# finite in float64; past it the factorial runs to thousands of digits, and
-# nested Gamma factors of integers would ask for astronomically large ones,
-# so the factor stays opaque.
-_GAMMA_FOLD_MAX = 171
+# Gamma(n) of a positive integer n up to this bound is the exact (n - 1)!,
+# here and in `frac.gamma`: 170! is the last factorial finite in float64.
+# Past it a Gamma factor of an integer stays opaque; folding nested ones
+# would ask for astronomically large factorials.
+GAMMA_EXACT_MAX = 171
 
 
 def _base_key(b: Expr):
@@ -247,42 +253,40 @@ def _poly_add(p1: dict, p2: dict) -> dict:
     return out
 
 
-def _monomial(exps: dict) -> tuple:
-    """(monomial, rational factor) of a {base: exponent} map.  Zero
-    exponents drop out, and a constant base under an integer exponent
-    moves into the factor: a monomial keeps constants only under
-    fractional exponents."""
-    factor = _ONE
-    pairs = []
-    for b, e in exps.items():
-        if isinstance(b, Constant) and e.denominator == 1:
-            factor *= b.value ** int(e)
-        elif e:
-            pairs.append((b, e))
-    return _sorted_mono(pairs), factor
-
-
 def _mono_mul(m1, m2) -> tuple:
-    """(monomial, rational factor) of the product m1 * m2."""
     if not m1:
-        return m2, _ONE
+        return m2
     if not m2:
-        return m1, _ONE
+        return m1
     exps = {}
     for b, e in m1 + m2:
         prev = exps.get(b)
         exps[b] = e if prev is None else prev + e
-    return _monomial(exps)
+    return _sorted_mono([(b, e) for b, e in exps.items() if e])
 
 
 def _poly_mul(p1: dict, p2: dict) -> dict:
     out: dict = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            m, f = _mono_mul(m1, m2)
-            c = c1 * c2
-            # f is the shared one unless two constant roots multiplied out
-            _accumulate(out, m, c if f is _ONE else c * f)
+            _accumulate(out, _mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def _fold_constants(p: dict) -> dict:
+    """p with every integer power of a constant base multiplied into the
+    coefficient of its monomial."""
+    if not any(isinstance(b, Constant) for mono in p for b, _ in mono):
+        return p
+    out: dict = {}
+    for mono, c in p.items():
+        pairs = []
+        for b, e in mono:
+            if isinstance(b, Constant) and e.denominator == 1:
+                c *= b.value ** int(e)
+            else:
+                pairs.append((b, e))
+        _accumulate(out, tuple(pairs), c)
     return out
 
 
@@ -337,7 +341,7 @@ def _to_poly(e: Expr, positive: frozenset) -> dict:
         arg = _rebuild(_to_poly(e.arg, positive))
         if isinstance(arg, Constant) and arg.value.denominator == 1:
             n = arg.value.numerator
-            if 0 < n <= _GAMMA_FOLD_MAX:
+            if 0 < n <= GAMMA_EXACT_MAX:
                 return {(): Fraction(math.factorial(n - 1))}
         return {((GammaFactor(arg), 1),): _ONE}
     if isinstance(e, Sum):
@@ -361,19 +365,18 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
         return {(): _ONE}
     if r == 1:
         return p
+    if r > 0 and r.denominator == 1:
+        return _poly_int_pow(p, r.numerator)
+    p = _fold_constants(p)
     if not p:
         if r > 0:
             return {}
         raise ZeroDivisionError("zero raised to a negative power")
-    if r.denominator == 1:
-        n = r.numerator
-        if n > 0:
-            return _poly_int_pow(p, n)
-        if len(p) == 1:
-            (mono, c), = p.items()
-            inv_mono = _sorted_mono([(b, -e) for b, e in mono])
-            return _poly_int_pow({inv_mono: 1 / c}, -n)
-    elif len(p) == 1:
+    if len(p) == 1 and r.denominator == 1:
+        (mono, c), = p.items()
+        inv_mono = _sorted_mono([(b, -e) for b, e in mono])
+        return _poly_int_pow({inv_mono: 1 / c}, -r.numerator)
+    if len(p) == 1:
         (mono, c), = p.items()
         if c > 0 and all(_is_positive_base(b, positive) for b, _ in mono):
             root = _rational_root(c, r)
@@ -391,6 +394,7 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
 
 
 def _rebuild(p: dict) -> Expr:
+    p = _fold_constants(p)
     if not p:
         return ZERO
     terms = []
@@ -482,45 +486,55 @@ def _poly_div(num: dict, den: dict) -> dict | None:
         quot[t] = c
         for dm, dc in dd.items():
             _accumulate(rem, tuple(a + b for a, b in zip(t, dm)), -c * dc)
-    out: dict = {}
-    for t, c in quot.items():
-        m, f = _monomial(dict(zip(bases, t[1:])))
-        _accumulate(out, m, c * f)
-    return out
+    return {tuple((b, e) for b, e in zip(bases, t[1:]) if e): c
+            for t, c in quot.items()}
 
 
 def _cancel_denominators(p: dict, positive: frozenset) -> dict:
     # group monomials by their multi-term-sum denominator signature and try
-    # to divide the numerator group by each denominator polynomial
+    # to divide the numerator group by each denominator polynomial.  A
+    # quotient whose signature another group holds merges with it after the
+    # pass, and only such merged groups are tried again: the sum may divide
+    # where neither part did.
     groups: dict = {}
-    divided = False
     for mono, c in p.items():
         denom = tuple((b, e) for b, e in mono if e < 0 and isinstance(b, Sum))
         rest = tuple((b, e) for b, e in mono if not (e < 0 and isinstance(b, Sum)))
         groups.setdefault(denom, {})[rest] = c
+    done: dict = {}
+    todo = groups
+    while todo:
+        landed: dict = {}
+        for denom, numer in todo.items():
+            denom = list(denom)
+            changed = True
+            while changed and denom:
+                changed = False
+                for i, (base, e) in enumerate(denom):
+                    q = _poly_div(numer, _to_poly(base, positive))
+                    if q is not None:
+                        numer = q
+                        if e + 1 == 0:
+                            denom.pop(i)
+                        else:
+                            denom[i] = (base, e + 1)
+                        changed = True
+                        break
+            landed.setdefault(tuple(denom), []).append(numer)
+        todo = {}
+        for denom, numers in landed.items():
+            if denom in done:
+                numers.append(done.pop(denom))
+            numer = functools.reduce(_poly_add, numers)
+            if len(numers) == 1:
+                done[denom] = numer
+            elif numer:  # a zero numerator would divide forever
+                todo[denom] = numer
     out: dict = {}
-    for denom, numer in groups.items():
-        denom = list(denom)
-        changed = True
-        while changed and denom:
-            changed = False
-            for i, (base, e) in enumerate(denom):
-                q = _poly_div(numer, _to_poly(base, positive))
-                if q is not None:
-                    numer = q
-                    divided = True
-                    if e + 1 == 0:
-                        denom.pop(i)
-                    else:
-                        denom[i] = (base, e + 1)
-                    changed = True
-                    break
-        dmono = tuple(denom)
+    for denom, numer in done.items():
         for mono, c in numer.items():
-            m, f = _mono_mul(mono, dmono)
-            _accumulate(out, m, c * f)
-    # a quotient merged into another group can make that group divisible
-    return _cancel_denominators(out, positive) if divided else out
+            _accumulate(out, _mono_mul(mono, denom), c)
+    return out
 
 
 def simplify(e: Expr, positive: Iterable[str] = ()) -> Expr:

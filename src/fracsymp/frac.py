@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (
+    GAMMA_EXACT_MAX,
     Constant,
     Expr,
     GammaFactor,
@@ -73,7 +74,7 @@ def gamma(x: float) -> float:
     x = float(x)
     if x <= 0 and x == math.floor(x):
         raise PoleAtNonPositiveInteger(x)
-    if x == math.floor(x) and x <= 171.0:
+    if x == math.floor(x) and x <= GAMMA_EXACT_MAX:
         # exact at integer arguments, where classical-limit identities
         # like Gamma(2) = 1 must hold to the last bit
         return float(math.factorial(int(x) - 1))

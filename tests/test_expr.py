@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import struct
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracsymp.expr import (
@@ -89,6 +90,51 @@ def test_exactly_divisible_multi_term_denominator_cancels():
     kept = simplify(parse("(q^2 + 1)*(q + Gamma(1 + alpha))^(-1)"))
     assert to_text(kept) == ("q^2*(q + Gamma(1 + alpha))^(-1)"
                              " + (q + Gamma(1 + alpha))^(-1)")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2^(1/2)*q*2^(1/2) + 2*q", "4*q"),
+    ("(2^(-3/2))^2", "1/8"),
+    ("(2^(1/2)*q*2^(1/2) + 2*q)^(1/2)", "(4*q)^(1/2)"),
+    ("Gamma(2^(1/2)*2^(1/2)*3^(1/2)*3^(1/2))", "120"),
+    ("((1 + 2^(1/2))^2)^2*(1 + 2^(1/2))^(-1)", "7 + 3*2^(1/2) + 2^(3/2)"),
+])
+def test_integer_powers_of_constant_roots_are_numbers(text, want):
+    # also inside an opaque base or a Gamma argument, so a second
+    # simplify has nothing left to fold
+    e = simplify(parse(text))
+    assert to_text(e) == want
+    assert simplify(e) == e
+
+
+def test_constant_root_denominator_divides_exactly():
+    # inside the arithmetic 2^(1/2)*2^(1/2) stays the monomial 2^1, so
+    # (1 + 2^(1/2))^2 is still exactly divisible by 1 + 2^(1/2)
+    e = simplify(parse("(1 + 2^(1/2))^2*(1 + 2^(1/2))^(-1)"))
+    assert to_text(e) == "1 + 2^(1/2)"
+
+
+def test_merged_quotient_is_divided_again():
+    # the quotient of the (1 + q^2)^(-2) group lands on the (1 + q^2)^(-1)
+    # group, which divides only after the merge
+    d = diff(parse("(q + q^3)*(1 + q^2)^(-1)"), "q")
+    assert to_text(d) == "1"
+
+
+def test_merged_quotients_that_cancel_leave_zero():
+    # both groups land on (1 + q)^(-1/2) and sum to zero there; a zero
+    # numerator divides by anything, so it must not be tried again
+    e = simplify(parse("(1 + p)*(1 + p)^(-1)*(1 + q)^(-1/2) - (1 + q)^(-1/2)"))
+    assert e == ZERO
+
+
+def test_gamma_of_large_integers_stays_opaque():
+    start = time.perf_counter()
+    e = simplify(parse("Gamma(Gamma(Gamma(5)))"))
+    assert time.perf_counter() - start < 1.0
+    assert to_text(e) == "Gamma(25852016738884976640000)"
+    assert simplify(parse("Gamma(171)")) == Constant(Fraction(math.factorial(170)))
+    assert to_text(simplify(parse("Gamma(172)"))) == "Gamma(172)"
 
 
 def test_diff_polynomial():
@@ -247,6 +293,9 @@ def _canonical(e):
 
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
+@example(parse("2^(1/2)*q*2^(1/2) + 2*q"))
+@example(parse("(2^(1/2)*q*2^(1/2) + 2*q)^(1/2)"))
+@example(parse("(1 + 3*q^2)*(1 + q^2)^(-1) - 2*q*(q + q^3)*(1 + q^2)^(-2)"))
 def test_simplify_is_idempotent(e):
     s = _canonical(e)
     assert to_text(simplify(s)) == to_text(s)

@@ -551,6 +551,24 @@ def test_laurent_denominator_inverts_quickly(entry, want):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("entry, want", [
+    ("1 + 2^(1/2)",
+     "-2^(1/2)*(3 + 2*2^(1/2))^(-1) - (3 + 2*2^(1/2))^(-1)"),
+    ("1 + 2^(1/2)*q",
+     "-2^(1/2)*q*(1 + 2*2^(1/2)*q + 2*q^2)^(-1)"
+     " - (1 + 2*2^(1/2)*q + 2*q^2)^(-1)"),
+], ids=["constant", "linear"])
+def test_constant_root_entry_inverts(entry, want):
+    """Bareiss divides (1 + 2^(1/2))^2 by 1 + 2^(1/2): exact only while
+    2^(1/2)*2^(1/2) stays a monomial inside the arithmetic."""
+    f = form_from_upper([[entry, "0", "0"], ["0", "0"], ["1"]], _ORACLE_NAMES)
+    inv = invert_form(f)
+    assert to_text(inv[0][1]) == want
+    assert to_text(inv[1][0]) == to_text(simplify(
+        Product((Constant(Fraction(-1)), inv[0][1]))))
+    assert [to_text(inv[2][3]), to_text(inv[3][2])] == ["-1", "1"]
+
+
 _ENTRY_ATOMS = ("q", "p", "Gamma(1 + alpha)", "q^(-1)", "(1 + q^2)^(-1)")
 
 
