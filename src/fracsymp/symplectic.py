@@ -12,10 +12,10 @@ reduces to a nonzero constant).
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .expr import (
     Constant,
@@ -25,8 +25,6 @@ from .expr import (
     Power,
     Product,
     Sum,
-    SymbolicConstant,
-    Variable,
     ZERO,
     _poly_add,
     _poly_div,
@@ -50,8 +48,6 @@ GAUGE_THEORY = "gauge-theory"
 INCONSISTENT = "inconsistent"
 
 CONVENTION = "f_ij = d a_j / d eta_i - d a_i / d eta_j"
-
-_RANK_SEEDS = (20240811, 20240812)
 
 
 class SymplecticError(Exception):
@@ -138,6 +134,8 @@ class SymplecticForm:
     entries: tuple
     rank: int
     null_basis: tuple
+    # (rows, pivot columns, last pivot, sign) of `_eliminate` on [F | I]
+    elimination: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -214,176 +212,99 @@ def _prefactor(alpha: float | None) -> Expr:
     return simplify(Power(_alpha_factor(alpha), Fraction(-2)))
 
 
-# -- generic-point rank machinery --------------------------------------------
-
-class _UnluckyPoint(Exception):
-    pass
-
-
-def _collect_atoms(e: Expr, out: dict):
-    if isinstance(e, (Variable, SymbolicConstant, GammaFactor)):
-        out.setdefault(e, None)
-    elif isinstance(e, Power):
-        if e.exponent.denominator == 1:
-            _collect_atoms(e.base, out)
-        else:
-            out.setdefault(e, None)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_atoms(t, out)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _collect_atoms(f, out)
-
-
-def _rational_eval(e: Expr, atoms: Mapping) -> Fraction:
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, (Variable, SymbolicConstant, GammaFactor)):
-        return atoms[e]
-    if isinstance(e, Sum):
-        return sum((_rational_eval(t, atoms) for t in e.terms), Fraction(0))
-    if isinstance(e, Product):
-        acc = Fraction(1)
-        for f in e.factors:
-            acc *= _rational_eval(f, atoms)
-        return acc
-    if isinstance(e, Power):
-        if e.exponent.denominator == 1:
-            base = _rational_eval(e.base, atoms)
-            k = int(e.exponent)
-            if base == 0 and k < 0:
-                raise _UnluckyPoint()
-            return base**k
-        return atoms[e]
-    raise TypeError(f"cannot evaluate {type(e).__name__} rationally")
-
-
-def _generic_values(entries, seed: int) -> dict:
-    atoms: dict = {}
-    for row in entries:
-        for e in row:
-            _collect_atoms(e, atoms)
-    rnd = random.Random(seed)
-    ordered = sorted(atoms, key=repr)
-    return {a: Fraction(rnd.randint(101, 997), rnd.randint(101, 997)) for a in ordered}
-
-
-def _eval_matrix(entries, seed: int):
-    vals = _generic_values(entries, seed)
-    return [[_rational_eval(e, vals) for e in row] for row in entries]
-
-
-def _rank_and_null(M):
-    """Row reduction over exact rationals: returns (rank, null-space basis)."""
-    n = len(M)
-    if n == 0:
-        return 0, []
-    m = len(M[0])
-    A = [row[:] for row in M]
-    pivots = []
-    r = 0
-    for c in range(m):
-        sel = None
-        for i in range(r, n):
-            if A[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = Fraction(1) / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -A[ri][fc]
-        basis.append(_primitive(v))
-    return r, basis
-
-
 def _primitive(v):
     """Scale a rational vector to a primitive integer vector with a positive
     leading nonzero entry."""
-    from math import gcd
-
-    den = 1
-    for c in v:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in v))
     ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(Fraction(c) for c in ints)
+    g = math.gcd(*ints) or 1
+    if next((c for c in ints if c), 0) < 0:
+        g = -g
+    return tuple(Fraction(c // g) for c in ints)
 
 
-def _matrix_rank_two_points(entries) -> int:
-    ranks = []
-    for base_seed in _RANK_SEEDS:
-        seed = base_seed
-        for _ in range(5):
-            try:
-                r, _basis = _rank_and_null(_eval_matrix(entries, seed))
-                ranks.append(r)
-                break
-            except _UnluckyPoint:
-                seed += 17
-        else:
-            raise RankDisagreement("no generic evaluation point found")
-    if ranks[0] != ranks[1]:
-        raise RankDisagreement(
-            f"rank {ranks[0]} at first point but {ranks[1]} at second")
-    return ranks[0]
+# -- exact elimination -------------------------------------------------------
 
+def _eliminate(rows, ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
+    of Laurent-polynomial dicts of `_to_poly`, in place.
 
-def _verified_null_basis(entries) -> tuple:
-    for base_seed in _RANK_SEEDS:
-        seed = base_seed
-        try:
-            _r, basis = _rank_and_null(_eval_matrix(entries, seed))
-        except _UnluckyPoint:
+    Pivots are sought in the first `ncols` columns in column order, the first
+    nonzero entry at or below the next pivot row winning; later columns are
+    carried along.  Step k updates every other row as
+    (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact, in
+    each later column and in each free column met so far (the null basis
+    reads those), so the cost is O(n^3) polynomial operations.  Afterwards
+    each pivot row holds the last pivot p in its own pivot column and the
+    rows below the pivot rows vanish in the first `ncols` columns.  Returns
+    (pivot columns, p, sign of the row permutation)."""
+    pivots: list = []
+    free: list = []
+    sign = 1
+    prev = {(): Fraction(1)}
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            free.append(c)
             continue
-        ok = True
-        for v in basis:
-            for row in entries:
-                terms = tuple(Product((Constant(c), e))
-                              for c, e in zip(v, row) if c != 0 and e != ZERO)
-                contraction = simplify(Sum(terms)) if terms else ZERO
-                if contraction != ZERO:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return tuple(basis)
-    raise RankDisagreement(
-        "null space is not spanned by constant vectors in this fragment")
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            sign = -sign
+        pivot = rows[r]
+        p = pivot[c]
+        cols = free + list(range(c + 1, len(pivot)))
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            minus_a = {m: -x for m, x in row[c].items()}
+            for j in cols:
+                t = _poly_add(_poly_mul(p, row[j]), _poly_mul(minus_a, pivot[j]))
+                row[j] = _poly_div(t, prev)
+                if row[j] is None:
+                    raise ArithmeticError("fraction-free step is not exact")
+        pivots.append(c)
+        prev = p
+    return pivots, prev, sign
+
+
+def _null_basis(rows, pivots, p, n: int) -> tuple:
+    """One primitive null vector per free column fc of an eliminated form:
+    v_fc = 1, the other free entries 0, and v_pc = -a_(r, fc) / p for the
+    pivot column pc of row r."""
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            q = _poly_div(rows[r][fc], p)
+            if q is None or q.keys() - {()}:
+                raise RankDisagreement(
+                    "null space is not spanned by constant vectors in this fragment")
+            v[pc] = -q.get((), Fraction(0))
+        basis.append(_primitive(v))
+    return tuple(basis)
 
 
 # -- core operations ---------------------------------------------------------
 
+def _eliminate_form(entries) -> tuple:
+    """`_eliminate` of [F | I]: (rows, pivot columns, last pivot, sign)."""
+    n = len(entries)
+    rows = [[_to_poly(e, frozenset()) for e in row]
+            + [{(): Fraction(1)} if j == i else {} for j in range(n)]
+            for i, row in enumerate(entries)]
+    return (rows, *_eliminate(rows, n))
+
+
 def assemble_form(m: Model) -> SymplecticForm:
     """Antisymmetric two-form of the kinetic sector.  The lower triangle is
     the negated upper triangle by construction, so antisymmetry is structural
-    rather than checked."""
+    rather than checked.  One exact elimination of [F | I] gives the rank
+    (its pivot count), the null basis and, for a regular form, what
+    `invert_form` reads the inverse from."""
     n = m.dimension
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -396,50 +317,27 @@ def assemble_form(m: Model) -> SymplecticForm:
             entries[i][j] = e
             entries[j][i] = simplify(Product((Constant(Fraction(-1)), e)), m.positive)
     frozen = tuple(tuple(row) for row in entries)
-    rank = _matrix_rank_two_points(frozen)
-    null_basis = () if rank == n else _verified_null_basis(frozen)
-    return SymplecticForm(frozen, rank, null_basis)
+    elimination = _eliminate_form(frozen)
+    rows, pivots, p, _sign = elimination
+    return SymplecticForm(frozen, len(pivots), _null_basis(rows, pivots, p, n),
+                          elimination)
 
 
 def invert_form(f: SymplecticForm):
-    """Exact symbolic inverse by fraction-free Gauss-Jordan elimination
-    (Bareiss 1968) of [F | I], in the Laurent-polynomial dicts of `_to_poly`.
-
-    Step k updates every other row as (p_k a_ij - a_ik a_kj) / p_(k-1), a
-    division that is always exact, so the inverse costs O(n^3) polynomial
-    operations.  Rows are swapped to find a nonzero pivot (the diagonal of
-    an antisymmetric form is zero).  At the end the left block is p_n I
-    with p_n = sign * det F, and the right block R = p_n F^-1, so each
-    entry of F^-1 is sign * R_ij / det."""
+    """Exact symbolic inverse from the elimination of [F | I]: `assemble_form`
+    stores it on the form, and a form built by hand is eliminated here.  At
+    the end the left block is p_n I with p_n = sign * det F, and the right
+    block R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det."""
     n = f.dimension
-    if f.rank < n:
+    rows, pivots, p, sign = f.elimination or _eliminate_form(f.entries)
+    if len(pivots) < n:
         raise SingularForm(f.null_basis)
-    rows = [[_to_poly(e, frozenset()) for e in row]
-            + [{(): Fraction(1)} if j == i else {} for j in range(n)]
-            for i, row in enumerate(f.entries)]
-    sign = 1
-    prev = {(): Fraction(1)}
-    for k in range(n):
-        sel = next((i for i in range(k, n) if rows[i][k]), None)
-        if sel is None:
-            raise SingularForm(f.null_basis)
-        if sel != k:
-            rows[k], rows[sel] = rows[sel], rows[k]
-            sign = -sign
-        pivot = rows[k]
-        p = pivot[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = rows[i]
-            minus_a = {m: -c for m, c in row[k].items()}
-            for j in range(k + 1, 2 * n):
-                t = _poly_add(_poly_mul(p, row[j]), _poly_mul(minus_a, pivot[j]))
-                row[j] = _poly_div(t, prev)
-                if row[j] is None:
-                    raise ArithmeticError("fraction-free step is not exact")
-        prev = p
-    det = simplify(_rebuild({m: sign * c for m, c in prev.items()}))
+    det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
+    if det == ZERO:
+        # the elimination's ring takes an opaque (1 + c^2)^(-1) as
+        # independent of 1 + c^2, so a pivot can vanish only on simplifying
+        raise RankDisagreement(
+            "determinant simplifies to 0 although every pivot is nonzero")
     inv_det = simplify(Power(det, Fraction(-1)))
     sign_c = Constant(Fraction(sign))
     return tuple(
@@ -511,33 +409,15 @@ def extend_model(m: Model, constraints) -> Model:
     return Model(new_vars, tuple(kinetic), potential, m.alpha, m.constants, m.positive)
 
 
-def _expr_vector(e: Expr) -> dict:
-    return _to_poly(simplify(e), ())
-
-
 def _in_rational_span(candidate: Expr, basis) -> bool:
     """Exact linear-algebra membership test of `candidate` in the span of
-    `basis` over the rationals (coordinates are canonical monomials)."""
-    vecs = [_expr_vector(b) for b in basis]
-    vecs = [v for v in vecs if v]
-    target = _expr_vector(candidate)
-    if not target:
-        return True
-    if not vecs:
-        return False
-    monos = sorted({m for v in vecs for m in v} | set(target), key=repr)
-    index = {mo: i for i, mo in enumerate(monos)}
-    rows = len(monos)
-    cols = len(vecs)
-    A = [[Fraction(0)] * (cols + 1) for _ in range(rows)]
-    for c, v in enumerate(vecs):
-        for mo, coeff in v.items():
-            A[index[mo]][c] = coeff
-    for mo, coeff in target.items():
-        A[index[mo]][cols] = coeff
-    r_basis, _ = _rank_and_null([row[:-1] for row in A])
-    r_aug, _ = _rank_and_null(A)
-    return r_basis == r_aug
+    `basis` over the rationals (coordinates are canonical monomials): the
+    candidate's column of [basis | candidate] gets no pivot."""
+    vecs = [_to_poly(simplify(e), ()) for e in (*basis, candidate)]
+    rows = [[{(): v[mo]} if mo in v else {} for v in vecs]
+            for mo in {mo for v in vecs for mo in v}]
+    pivots, _p, _sign = _eliminate(rows, len(vecs))
+    return len(vecs) - 1 not in pivots
 
 
 def _prune_spectators(current: Model, original: Model):
