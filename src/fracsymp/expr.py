@@ -201,11 +201,9 @@ def gamma_of(e) -> GammaFactor:
 #
 # The arithmetic treats a constant base like any other symbol, so that
 # 2^(1/2)*2^(1/2) is the monomial 2^1 and exact division stays exact in
-# that ring; likewise (1 + q)^(1/2)*(1 + q)^(1/2) is the monomial
-# (1 + q)^1.  `_fold_integer_powers` multiplies such integer powers out; it
-# runs wherever a tree is built from a dict, before `_power_poly` decides
-# whether its base is one monomial, and in `simplify` between two rounds
-# of cancelling denominators.
+# that ring.  `_fold_constants` multiplies such integer powers out; it runs
+# wherever a tree is built from a dict, and before `_power_poly` decides
+# whether its base is one monomial.
 
 _RANKS = {Constant: 0, SymbolicConstant: 1, Variable: 2, GammaFactor: 3, Power: 4, Sum: 5, Product: 6}
 
@@ -275,40 +273,21 @@ def _poly_mul(p1: dict, p2: dict) -> dict:
     return out
 
 
-_NON_ATOMIC = (Constant, Power, Product, Sum)
-
-
-def _folds(b: Expr, e) -> bool:
-    # an integer power of a constant or compound base, but not a
-    # denominator (a sum under a negative power)
-    return (e.denominator == 1 and isinstance(b, _NON_ATOMIC)
-            and (e > 0 or not isinstance(b, Sum)))
-
-
-def _fold_integer_powers(p: dict) -> dict:
+def _fold_constants(p: dict) -> dict:
     """p with every integer power of a constant base multiplied into the
-    coefficient of its monomial, and every integer power of a power, a
-    product or a sum base multiplied out into the monomials it expands to;
-    a sum under a negative power stays, as a denominator."""
-    if not any(_folds(b, e) for mono in p for b, e in mono):
+    coefficient of its monomial."""
+    if not any(isinstance(b, Constant) for mono in p for b, _ in mono):
         return p
     out: dict = {}
     for mono, c in p.items():
         pairs = []
-        expanded = {(): _ONE}
         for b, e in mono:
             if isinstance(b, Constant) and e.denominator == 1:
                 c *= b.value ** int(e)
-            elif _folds(b, e):
-                expanded = _poly_mul(expanded, _power_poly(
-                    _to_poly(b, frozenset()), Fraction(e), frozenset()))
             else:
                 pairs.append((b, e))
-        for m, x in _poly_mul(expanded, {tuple(pairs): c}).items():
-            _accumulate(out, m, x)
-    # an expansion may meet a factor with which its own roots add up to an
-    # integer power; each round expands strictly smaller bases
-    return _fold_integer_powers(out)
+        _accumulate(out, tuple(pairs), c)
+    return out
 
 
 def _poly_int_pow(p: dict, n: int) -> dict:
@@ -388,7 +367,7 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
         return p
     if r > 0 and r.denominator == 1:
         return _poly_int_pow(p, r.numerator)
-    p = _fold_integer_powers(p)
+    p = _fold_constants(p)
     if not p:
         if r > 0:
             return {}
@@ -415,7 +394,7 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
 
 
 def _rebuild(p: dict) -> Expr:
-    p = _fold_integer_powers(p)
+    p = _fold_constants(p)
     if not p:
         return ZERO
     terms = []
@@ -517,8 +496,6 @@ def _cancel_denominators(p: dict, positive: frozenset) -> dict:
     # quotient whose signature another group holds merges with it after the
     # pass, and only such merged groups are tried again: the sum may divide
     # where neither part did.
-    if not any(isinstance(b, Sum) and e < 0 for mono in p for b, e in mono):
-        return p
     groups: dict = {}
     for mono, c in p.items():
         denom = tuple((b, e) for b, e in mono if e < 0 and isinstance(b, Sum))
@@ -567,12 +544,9 @@ def simplify(e: Expr, positive: Iterable[str] = ()) -> Expr:
     licenses collapsing nested rational powers such as (q^2)^(1/2) -> q.
     """
     pos = frozenset(positive)
-    p = _cancel_denominators(_to_poly(e, pos), pos)
-    # folded only after the division, where (B^(1/2))^2 must stay B^1; a
-    # fold can uncover a denominator that divides
-    folded = _fold_integer_powers(p)
-    if folded is not p:
-        p = _cancel_denominators(folded, pos)
+    p = _to_poly(e, pos)
+    if any(isinstance(b, Sum) and ex < 0 for mono in p for b, ex in mono):
+        p = _cancel_denominators(p, pos)
     return _rebuild(p)
 
 

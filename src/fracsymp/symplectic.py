@@ -30,6 +30,7 @@ from .expr import (
     _poly_div,
     _poly_mul,
     _rebuild,
+    _sorted_mono,
     _to_poly,
     diff,
     evaluate,
@@ -225,26 +226,51 @@ def _primitive(v):
 
 # -- exact elimination -------------------------------------------------------
 
+def _cleared(polys) -> list:
+    """The dicts of `_to_poly` in `polys`, each times every opaque
+    denominator that they hold, as simplified trees.  The ring of
+    `_to_poly` takes an opaque (1 + q)^(-1) as independent of 1 + q, so a
+    nonzero dict can still be 0 and a quotient can exist only outside the
+    ring; read back with its denominators multiplied out, a dict is a
+    polynomial in which `simplify` can decide both."""
+    den: dict = {}
+    for x in polys:
+        for mono in x:
+            for b, e in mono:
+                if e < 0 and isinstance(b, Sum):
+                    den[b] = max(den.get(b, 0), -e)
+    d = {_sorted_mono(den.items()): Fraction(1)}
+    return [simplify(_rebuild(_poly_mul(x, d))) for x in polys]
+
+
+def _nonzero(x: dict) -> bool:
+    return bool(x) and _cleared([x])[0] != ZERO
+
+
 def _eliminate(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
     of Laurent-polynomial dicts of `_to_poly`, in place.
 
     Pivots are sought in the first `ncols` columns in column order, the first
-    nonzero entry at or below the next pivot row winning; later columns are
-    carried along.  Step k updates every other row as
-    (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact, in
-    each later column and in each free column met so far (the null basis
-    reads those), so the cost is O(n^3) polynomial operations.  Afterwards
-    each pivot row holds the last pivot p in its own pivot column and the
-    rows below the pivot rows vanish in the first `ncols` columns.  Returns
-    (pivot columns, p, sign of the row permutation)."""
+    entry at or below the next pivot row that does not simplify to 0
+    winning; later columns are carried along.  Step k updates every other
+    row as (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact,
+    in each later column and in each free column met so far (the null basis
+    reads those), so the cost is O(n^3) polynomial operations.  Pivot
+    columns are never written, so `rows` does not hold what the elimination
+    implies there: the last pivot p in each pivot row's own pivot column,
+    and 0 in its other pivot columns and in the first `ncols` columns of
+    the rows below the pivot rows.  An entry skipped because it simplifies
+    to 0 may likewise stay a nonzero dict.  The later columns and the free
+    columns hold the eliminated values.  Returns (pivot columns, p, sign of
+    the row permutation)."""
     pivots: list = []
     free: list = []
     sign = 1
     prev = {(): Fraction(1)}
     for c in range(ncols):
         r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        sel = next((i for i in range(r, len(rows)) if _nonzero(rows[i][c])), None)
         if sel is None:
             free.append(c)
             continue
@@ -270,8 +296,8 @@ def _eliminate(rows, ncols: int):
 
 def _null_basis(rows, pivots, p, n: int) -> tuple:
     """One primitive null vector per free column fc of an eliminated form:
-    v_fc = 1, the other free entries 0, and v_pc = -a_(r, fc) / p for the
-    pivot column pc of row r."""
+    v_fc = 1, the other free entries 0, and v_pc = -a_(r, fc) / p, simplified,
+    for the pivot column pc of row r."""
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -279,11 +305,14 @@ def _null_basis(rows, pivots, p, n: int) -> tuple:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            q = _poly_div(rows[r][fc], p)
-            if q is None or q.keys() - {()}:
+            if not rows[r][fc]:
+                continue
+            a, b = _cleared([rows[r][fc], p])
+            ratio = simplify(Product((a, Power(b, Fraction(-1)))))
+            if not isinstance(ratio, Constant):
                 raise RankDisagreement(
                     "null space is not spanned by constant vectors in this fragment")
-            v[pc] = -q.get((), Fraction(0))
+            v[pc] = -ratio.value
         basis.append(_primitive(v))
     return tuple(basis)
 
@@ -333,11 +362,6 @@ def invert_form(f: SymplecticForm):
     if len(pivots) < n:
         raise SingularForm(f.null_basis)
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
-    if det == ZERO:
-        # the elimination's ring takes an opaque (1 + c^2)^(-1) as
-        # independent of 1 + c^2, so a pivot can vanish only on simplifying
-        raise RankDisagreement(
-            "determinant simplifies to 0 although every pivot is nonzero")
     inv_det = simplify(Power(det, Fraction(-1)))
     sign_c = Constant(Fraction(sign))
     return tuple(

@@ -107,25 +107,6 @@ def test_integer_powers_of_constant_roots_are_numbers(text, want):
     assert simplify(e) == e
 
 
-@pytest.mark.parametrize("text, want", [
-    ("((q^2)^(1/2))^(-2)", "q^(-2)"),
-    ("((2*q)^(1/2))^(-2)", "1/2*q^(-1)"),
-    ("((q*p)^(1/2))^2*q", "p*q^2"),
-    ("(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q", "0"),
-    ("q*(1 + q)^(1/2)*(1 + q)^(1/2)", "q + q^2"),
-    ("((q*(1 + q)^(-1))^(1/2))^2*(1 + q)", "q"),
-    ("((q^2)^(1/2) + 1)^2*((q^2)^(1/2) + 1)^(-1)", "1 + (q^2)^(1/2)"),
-    ("((1 + q)^(1/2) + 1)^2*((1 + q)^(1/2) + 1)^(-1)", "1 + (1 + q)^(1/2)"),
-])
-def test_integer_powers_of_compound_roots_expand(text, want):
-    # an opaque base whose roots add up to an integer power is expanded,
-    # also where the expansion uncovers a denominator that divides; but
-    # only after the division, which needs (B^(1/2))^2 to stay B^1
-    e = simplify(parse(text))
-    assert to_text(e) == want
-    assert simplify(e) == e
-
-
 def test_constant_root_denominator_divides_exactly():
     # inside the arithmetic 2^(1/2)*2^(1/2) stays the monomial 2^1, so
     # (1 + 2^(1/2))^2 is still exactly divisible by 1 + 2^(1/2)

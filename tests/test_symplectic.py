@@ -46,6 +46,7 @@ from fracsymp.symplectic import (
     SingularForm,
     SymplecticForm,
     _eliminate,
+    _eliminate_form,
     _in_rational_span,
     assemble_form,
     brackets_to_commutators,
@@ -235,15 +236,43 @@ def test_rational_span_membership(candidate, basis, inside):
     assert got is inside
 
 
-def test_pivots_that_vanish_only_on_simplifying_are_rejected():
-    """The Pfaffian (1 + c^2)^(-1)*(1 + c^2) - 1 is 0, but the elimination's
-    ring takes the opaque (1 + c^2)^(-1) as independent of 1 + c^2: a typed
-    error, not a division by zero."""
-    m = constant_form_model(("x1", "x2", "x3", "x4"),
-                            [["(1 + c^2)^(-1)", "1", "0"], ["0", "1"], ["1 + c^2"]],
-                            1.0, {"c": 2})
-    with pytest.raises(RankDisagreement):
-        fj_iterate(m)
+@pytest.mark.parametrize("names, upper", [
+    (("x1", "x2", "x3", "x4"),
+     [["(1 + c^2)^(-1)", "1", "0"], ["0", "1"], ["1 + c^2"]]),
+    (("x1", "x2", "x3", "x4", "x5"),
+     [["(1 + c^2)^(-1)", "1", "0", "0"], ["0", "1", "0"], ["1 + c^2", "0"], ["0"]]),
+], ids=["four", "decoupled-fifth"])
+def test_pivots_that_vanish_only_on_simplifying_are_skipped(names, upper):
+    """The Pfaffian (1 + c^2)^(-1)*(1 + c^2) - 1 is 0, though the ring of
+    `_to_poly` takes the opaque (1 + c^2)^(-1) as independent of 1 + c^2:
+    the rank is 2, and the zero modes, which hold 1 + c^2, are not
+    constant."""
+    pivots = _eliminate_form(form_from_upper(upper, names).entries)[1]
+    assert len(pivots) == 2
+    m = constant_form_model(names, upper, 1.0, {"c": 2})
+    with pytest.raises(RankDisagreement, match="not spanned by constant vectors"):
+        assemble_form(m)
+
+
+_A = "c*(1 + c)^(-1)"
+_B = "1 - (1 + c)^(-1)"
+
+
+@pytest.mark.parametrize("upper, null_basis", [
+    ([[_A, _B], ["0"]], ((0, 1, -1),)),
+    ([[_B, _A], ["0"]], ((0, 1, -1),)),
+    ([[_A, "0"], [_B]], ((1, 0, 1),)),
+    ([["0", _A], [_B]], ((1, -1, 0),)),
+], ids=["first-row", "first-row-swapped", "middle", "last"])
+def test_zero_mode_that_is_constant_only_on_simplifying(upper, null_basis):
+    """c*(1 + c)^(-1) and 1 - (1 + c)^(-1) are equal but simplify to two
+    trees, so a constant zero mode is a ratio of two different dicts."""
+    m = constant_form_model(("x1", "x2", "x3"), upper, 1.0, {"c": 2})
+    f = assemble_form(m)
+    assert f.rank == 2
+    assert f.null_basis == null_basis
+    chain, _table = fj_iterate(m)
+    assert chain.status == REGULAR
 
 
 def test_zero_mode_contraction():
