@@ -9,6 +9,11 @@ Gamma(1 + alpha) determinant, and `laurent_pfaffian.model`, whose
 exact division.  Any change to a canonical form, to the constraint iteration
 or to the JSON rendering shows up here as a byte difference.
 
+`tests/golden/<name>.json` also holds what `report-hall` and
+`estimate-alpha` printed for each run in REPORTS: the strong-field report at
+the default charge and field and at e = 2.5, B = 1.5, and the order estimate
+in both regimes.
+
 `tests/golden/traj/<name>.csv` and its `.csv.json` sidecar hold what
 `simulate` wrote for each run in TRAJECTORIES: both fractional schemes on
 both compositions, full-history and windowed, the alpha = 1 Euler and Heun
@@ -47,6 +52,25 @@ def test_quantize_stdout_matches_golden(name, capsys):
     out, _ = capsys.readouterr()
     want = (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
     assert out == want
+
+
+REPORTS = {
+    "report_hall": ("report-hall", "--alpha", "0.0004"),
+    "report_hall_e2.5_B1.5": ("report-hall", "--alpha", "0.0007",
+                              "--e", "2.5", "--B", "1.5"),
+    "estimate_alpha_small": ("estimate-alpha", "--delta", "0.0005",
+                             "--regime", "small"),
+    "estimate_alpha_near_one": ("estimate-alpha", "--delta", "0.0005",
+                                "--regime", "near-one"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_hall_stdout_matches_golden(name, capsys):
+    assert main(list(REPORTS[name])) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
 
 
 _LANDAU = ("--landau", "1", "2", "1", "--alpha", "0.7", "--T", "1", "--h", "1e-2",
