@@ -105,26 +105,25 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _parse_alpha_flag(value):
-    """None passes through; 'symbolic' maps to None-with-intent."""
-    if value is None:
-        return False, None
-    if value == "symbolic":
-        return True, None
-    try:
-        return True, float(value)
-    except ValueError:
-        raise modelfile.ModelFileError(
-            "--alpha must be a number or 'symbolic', got %r" % value)
+def _load_model(args):
+    """The parsed model file and its model, with the order --alpha gives
+    (a number, or 'symbolic') in place of the file's."""
+    doc = modelfile.parse_model_file(args.model)
+    if args.alpha is None:
+        return doc, doc.model
+    alpha = None
+    if args.alpha != "symbolic":
+        try:
+            alpha = float(args.alpha)
+        except ValueError:
+            raise modelfile.ModelFileError(
+                "--alpha must be a number or 'symbolic', got %r" % args.alpha)
+    return doc, replace(doc.model, alpha=alpha)
 
 
 def cmd_quantize(args) -> int:
     try:
-        doc = modelfile.parse_model_file(args.model)
-        override, alpha = _parse_alpha_flag(args.alpha)
-        model = doc.model
-        if override:
-            model = replace(model, alpha=alpha)
+        doc, model = _load_model(args)
     except (OSError, modelfile.ModelFileError, symplectic.ModelError,
             ValueError) as exc:
         return _fail(str(exc))
@@ -183,11 +182,7 @@ def _landau_trajectory(args):
 
 
 def _model_trajectory(args):
-    doc = modelfile.parse_model_file(args.model)
-    override, alpha = _parse_alpha_flag(args.alpha)
-    model = doc.model
-    if override:
-        model = replace(model, alpha=alpha)
+    _, model = _load_model(args)
     if model.alpha is None:
         raise ValueError("a numeric order is required to integrate; set "
                          "alpha in the file or pass --alpha")

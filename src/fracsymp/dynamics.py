@@ -371,31 +371,21 @@ def landau_problem(e: float, B: float, m: float, alpha: float,
         raise DynamicsError("m must be positive")
     FracOrder(float(alpha))
     omega = e * B / m
-
-    def rhs(texts, names, consts):
-        return tuple(parse_expression(t, variables=names,
-                                      allowed=set(names) | set(consts))
-                     for t in texts)
-
     if composition == SINGLE_ORDER:
-        names = ("r1", "r2", "w1", "w2")
+        names, order, default = ("r1", "r2", "w1", "w2"), 1.0, PREDICTOR_CORRECTOR
         consts = {"Omega": omega / gamma(1.0 + alpha)}
-        exprs = rhs(("w1", "w2", "-Omega*w2", "Omega*w1"), names, consts)
-        return FractionalIVP(
-            names, exprs, 1.0,
-            (z0.real, z0.imag, v0.real, v0.imag), T, h,
-            scheme=scheme or PREDICTOR_CORRECTOR,
-            composition=SINGLE_ORDER, constants=consts)
-    if composition == SEQUENTIAL_ALPHA_ALPHA:
-        names = ("r1", "r2", "u1", "u2")
+    elif composition == SEQUENTIAL_ALPHA_ALPHA:
+        names, order, default = ("r1", "r2", "u1", "u2"), float(alpha), GRUNWALD_LETNIKOV
         consts = {"omega": omega}
-        exprs = rhs(("u1", "u2", "-omega*u2", "omega*u1"), names, consts)
-        return FractionalIVP(
-            names, exprs, float(alpha),
-            (z0.real, z0.imag, v0.real, v0.imag), T, h,
-            scheme=scheme or GRUNWALD_LETNIKOV,
-            composition=SEQUENTIAL_ALPHA_ALPHA, constants=consts)
-    raise DynamicsError("unknown composition %r" % (composition,))
+    else:
+        raise DynamicsError("unknown composition %r" % (composition,))
+    (w,) = consts
+    v1, v2 = names[2:]
+    exprs = tuple(parse_expression(t, variables=names, allowed={*names, w})
+                  for t in (v1, v2, "-%s*%s" % (w, v2), "%s*%s" % (w, v1)))
+    return FractionalIVP(
+        names, exprs, order, (z0.real, z0.imag, v0.real, v0.imag), T, h,
+        scheme=scheme or default, composition=composition, constants=consts)
 
 
 def simulate_landau(e: float, B: float, m: float, alpha: float,

@@ -15,7 +15,7 @@ coordinates alone whose quantization makes the coordinates noncommutative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .expr import EULER_GAMMA, evaluate, parse_expression
 from .frac import gamma
@@ -96,12 +96,7 @@ class FractionalityEstimate:
     note: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "delta": self.delta,
-            "alpha_estimate": self.alpha_estimate,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def build_landau_model(s: HallScenario) -> Model:

@@ -13,7 +13,7 @@ reduces to a nonzero constant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -132,11 +132,27 @@ class Model:
 
 @dataclass(frozen=True)
 class SymplecticForm:
+    """An antisymmetric two-form, given by its entries alone.  One exact
+    elimination of [F | I] at construction gives its rank (the pivot
+    count), its null basis and, for a regular form, what `invert_form`
+    reads the inverse from; a null space that constant vectors do not span
+    raises RankDisagreement."""
+
     entries: tuple
-    rank: int
-    null_basis: tuple
+    rank: int = field(init=False)
+    null_basis: tuple = field(init=False)
     # (rows, pivot columns, last pivot, sign) of `_eliminate` on [F | I]
-    elimination: tuple | None = field(default=None, repr=False, compare=False)
+    elimination: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.entries)
+        rows = [[_to_poly(e, frozenset()) for e in row]
+                + [{(): Fraction(1)} if j == i else {} for j in range(n)]
+                for i, row in enumerate(self.entries)]
+        pivots, p, sign = _eliminate(rows, n)
+        object.__setattr__(self, "rank", len(pivots))
+        object.__setattr__(self, "null_basis", _null_basis(rows, pivots, p, n))
+        object.__setattr__(self, "elimination", (rows, pivots, p, sign))
 
     @property
     def dimension(self) -> int:
@@ -146,8 +162,12 @@ class SymplecticForm:
 @dataclass(frozen=True)
 class ChainLevel:
     constraints: tuple
-    multipliers: tuple
     model: Model
+
+    @property
+    def multipliers(self) -> tuple:
+        """The multipliers `extend_model` appended, one per constraint."""
+        return self.model.variables[-len(self.constraints):]
 
 
 @dataclass(frozen=True)
@@ -162,10 +182,12 @@ class BracketTable:
     variables: tuple
     entries: tuple
     alpha: float | None
-    coarse_grained: bool
-    prefactor: Expr
     commutators: tuple | None = None
-    convention: str = CONVENTION
+
+    @property
+    def prefactor(self) -> Expr:
+        """1/Gamma(1+alpha)^2, the factor of the alternative normalization."""
+        return _gamma_power(self.alpha, -2)
 
     def entry(self, vi: str, vj: str) -> Expr:
         i = self.variables.index(vi)
@@ -178,16 +200,17 @@ class BracketTable:
         return simplify(Product((self.prefactor, self.entry(vi, vj))))
 
     def to_json_dict(self) -> dict:
+        prefactor = self.prefactor
         plain = [[to_text(e) for e in row] for row in self.entries]
         scaled = [
-            [to_text(simplify(Product((self.prefactor, e)))) for e in row]
+            [to_text(simplify(Product((prefactor, e)))) for e in row]
             for row in self.entries
         ]
         out = {
             "variables": list(self.variables),
             "alpha": "symbolic" if self.alpha is None else float(self.alpha),
-            "convention": self.convention,
-            "prefactor": to_text(self.prefactor),
+            "convention": CONVENTION,
+            "prefactor": to_text(prefactor),
             "brackets": plain,
             "commutators": (
                 None if self.commutators is None
@@ -200,17 +223,13 @@ class BracketTable:
         return out
 
 
-def _alpha_factor(alpha: float | None) -> Expr:
-    """Gamma(1 + alpha) as an expression, honoring a symbolic order."""
-    if alpha is None:
-        return GammaFactor(simplify(Sum((ONE, sym("alpha")))))
-    return simplify(GammaFactor(Constant(1 + Fraction(alpha))))
-
-
-def _prefactor(alpha: float | None) -> Expr:
+def _gamma_power(alpha: float | None, k: int) -> Expr:
+    """Gamma(1 + alpha)^k as an expression, honoring a symbolic order; 1 at
+    alpha = 1."""
     if alpha == 1.0:
         return ONE
-    return simplify(Power(_alpha_factor(alpha), Fraction(-2)))
+    arg = sym("alpha") if alpha is None else Constant(Fraction(alpha))
+    return simplify(Power(GammaFactor(Sum((ONE, arg))), Fraction(k)))
 
 
 def _primitive(v):
@@ -319,21 +338,10 @@ def _null_basis(rows, pivots, p, n: int) -> tuple:
 
 # -- core operations ---------------------------------------------------------
 
-def _eliminate_form(entries) -> tuple:
-    """`_eliminate` of [F | I]: (rows, pivot columns, last pivot, sign)."""
-    n = len(entries)
-    rows = [[_to_poly(e, frozenset()) for e in row]
-            + [{(): Fraction(1)} if j == i else {} for j in range(n)]
-            for i, row in enumerate(entries)]
-    return (rows, *_eliminate(rows, n))
-
-
 def assemble_form(m: Model) -> SymplecticForm:
     """Antisymmetric two-form of the kinetic sector.  The lower triangle is
     the negated upper triangle by construction, so antisymmetry is structural
-    rather than checked.  One exact elimination of [F | I] gives the rank
-    (its pivot count), the null basis and, for a regular form, what
-    `invert_form` reads the inverse from."""
+    rather than checked."""
     n = m.dimension
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -345,22 +353,17 @@ def assemble_form(m: Model) -> SymplecticForm:
                 m.positive)
             entries[i][j] = e
             entries[j][i] = simplify(Product((Constant(Fraction(-1)), e)), m.positive)
-    frozen = tuple(tuple(row) for row in entries)
-    elimination = _eliminate_form(frozen)
-    rows, pivots, p, _sign = elimination
-    return SymplecticForm(frozen, len(pivots), _null_basis(rows, pivots, p, n),
-                          elimination)
+    return SymplecticForm(tuple(tuple(row) for row in entries))
 
 
 def invert_form(f: SymplecticForm):
-    """Exact symbolic inverse from the elimination of [F | I]: `assemble_form`
-    stores it on the form, and a form built by hand is eliminated here.  At
-    the end the left block is p_n I with p_n = sign * det F, and the right
-    block R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det."""
+    """Exact symbolic inverse from the form's elimination of [F | I].  At the
+    end the left block is p_n I with p_n = sign * det F, and the right block
+    R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det."""
     n = f.dimension
-    rows, pivots, p, sign = f.elimination or _eliminate_form(f.entries)
-    if len(pivots) < n:
+    if f.rank < n:
         raise SingularForm(f.null_basis)
+    rows, _pivots, p, sign = f.elimination
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
     inv_det = simplify(Power(det, Fraction(-1)))
     sign_c = Constant(Fraction(sign))
@@ -478,13 +481,7 @@ def _restrict_table(m: Model, inverse, original_vars) -> BracketTable:
     keep = [i for i, v in enumerate(m.variables) if v in original_vars]
     names = tuple(m.variables[i] for i in keep)
     entries = tuple(tuple(inverse[i][j] for j in keep) for i in keep)
-    return BracketTable(
-        variables=names,
-        entries=entries,
-        alpha=m.alpha,
-        coarse_grained=(m.alpha != 1.0),
-        prefactor=_prefactor(m.alpha),
-    )
+    return BracketTable(names, entries, m.alpha)
 
 
 def fj_iterate(m: Model, gauge_conditions=()):
@@ -543,8 +540,7 @@ def fj_iterate(m: Model, gauge_conditions=()):
             for v in current.variables:
                 span_basis.append(diff(omega, v))
         extended = extend_model(current, new)
-        mults = extended.variables[current.dimension:]
-        levels.append(ChainLevel(tuple(new), tuple(mults), extended))
+        levels.append(ChainLevel(tuple(new), extended))
         pruned_model, doomed = _prune_spectators(extended, original)
         if doomed:
             notes.append(
@@ -558,10 +554,7 @@ def fj_iterate(m: Model, gauge_conditions=()):
 
 def fractional_equations_of_motion(m: Model):
     """Right-hand sides of D^alpha eta = f^{-1} dV/deta, one per variable."""
-    form = assemble_form(m)
-    if form.rank < m.dimension:
-        raise SingularForm(form.null_basis)
-    inverse = invert_form(form)
+    inverse = invert_form(assemble_form(m))
     grad = [diff(m.potential, v, m.positive) for v in m.variables]
     out = []
     for i, v in enumerate(m.variables):
@@ -593,8 +586,7 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
         h_eff = simplify(Sum(tuple([m.potential] + [
             Product((sym(nm), c)) for nm, c in zip(lam_names, constraints)])))
     a = 1.0 if m.alpha is None else m.alpha
-    pref = (ONE if a == 1.0
-            else simplify(Power(GammaFactor(Constant(1 + Fraction(a))), Fraction(-1))))
+    pref = _gamma_power(a, -1)
     out = []
     for i in range(half):
         rhs_q = chain_partial_expr(h_eff, momenta[i], a)
@@ -700,5 +692,4 @@ def brackets_to_commutators(t: BracketTable, hbar: float) -> BracketTable:
     c_ij is hbar times the bracket entry."""
     h = Constant(Fraction(hbar))
     comms = tuple(tuple(simplify(Product((h, e))) for e in row) for row in t.entries)
-    return BracketTable(t.variables, t.entries, t.alpha, t.coarse_grained,
-                        t.prefactor, comms, t.convention)
+    return replace(t, commutators=comms)

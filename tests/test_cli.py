@@ -70,6 +70,19 @@ def test_quantize_alpha_override(capsys):
     assert payload["table"]["alpha"] == 0.5
 
 
+@pytest.mark.parametrize("command", ["quantize", "simulate"])
+@pytest.mark.parametrize("alpha, message", [
+    ("x", "--alpha must be a number or 'symbolic', got 'x'"),
+    ("2", "order must lie in (0, 1], got 2.0"),
+], ids=["non-numeric", "out-of-range"])
+def test_bad_alpha_override_is_reported(capsys, tmp_path, command, alpha, message):
+    argv = [command, model("canonical_pair"), "--alpha", alpha]
+    if command == "simulate":
+        argv += ["--T", "1.0", "--h", "1e-2", "--initial", "1,0",
+                 "--out", str(tmp_path / "out.csv")]
+    assert run(capsys, *argv) == (1, "", "fracsymp: error: %s\n" % message)
+
+
 def test_quantize_inconsistent_exit_code(capsys, tmp_path):
     bad = tmp_path / "broken.model"
     bad.write_text(

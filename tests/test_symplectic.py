@@ -44,9 +44,9 @@ from fracsymp.symplectic import (
     ModelError,
     RankDisagreement,
     SingularForm,
+    CONVENTION,
     SymplecticForm,
     _eliminate,
-    _eliminate_form,
     _in_rational_span,
     assemble_form,
     brackets_to_commutators,
@@ -247,8 +247,12 @@ def test_pivots_that_vanish_only_on_simplifying_are_skipped(names, upper):
     `_to_poly` takes the opaque (1 + c^2)^(-1) as independent of 1 + c^2:
     the rank is 2, and the zero modes, which hold 1 + c^2, are not
     constant."""
-    pivots = _eliminate_form(form_from_upper(upper, names).entries)[1]
+    entries = upper_entries(upper, names)
+    pivots, _p, _sign = _eliminate(
+        [[_to_poly(e, frozenset()) for e in row] for row in entries], len(entries))
     assert len(pivots) == 2
+    with pytest.raises(RankDisagreement, match="not spanned by constant vectors"):
+        SymplecticForm(entries)
     m = constant_form_model(names, upper, 1.0, {"c": 2})
     with pytest.raises(RankDisagreement, match="not spanned by constant vectors"):
         assemble_form(m)
@@ -526,15 +530,15 @@ def _laplace_det(rows):
     return simplify(Sum(tuple(terms)))
 
 
-def cofactor_inverse(f):
+def cofactor_inverse(entries):
     """The adjugate over the determinant, each cofactor by recursive Laplace
     expansion: the inverse `invert_form` computed before it eliminated
     fraction-free.  Factorial cost; kept as the oracle for small forms."""
-    n = f.dimension
-    rows = [list(r) for r in f.entries]
+    n = len(entries)
+    rows = [list(r) for r in entries]
     det = _laplace_det(rows)
     if det == ZERO:
-        raise SingularForm(f.null_basis)
+        raise SingularForm(())
     inv_det = simplify(Power(det, Fraction(-1)))
     out = []
     for i in range(n):
@@ -549,9 +553,9 @@ def cofactor_inverse(f):
     return tuple(out)
 
 
-def form_from_upper(upper, names, positive=()):
-    """Antisymmetric form from its upper triangle, row by row, marked as of
-    full rank: `invert_form` must find a singular one out by itself."""
+def upper_entries(upper, names, positive=()):
+    """Entries of the antisymmetric form with this upper triangle, row by
+    row."""
     n = len(upper) + 1
     entries = [[ZERO] * n for _ in range(n)]
     for i, row in enumerate(upper):
@@ -559,7 +563,11 @@ def form_from_upper(upper, names, positive=()):
             e = simplify(parse_expression(text, variables=names), positive)
             entries[i][j] = e
             entries[j][i] = simplify(Product((Constant(Fraction(-1)), e)), positive)
-    return SymplecticForm(tuple(tuple(r) for r in entries), n, ())
+    return tuple(tuple(r) for r in entries)
+
+
+def form_from_upper(upper, names, positive=()):
+    return SymplecticForm(upper_entries(upper, names, positive))
 
 
 _ORACLE_NAMES = ("q", "p")
@@ -615,7 +623,7 @@ def test_invert_form_matches_cofactor_oracle():
                 invert_form(f)
             continue
         try:
-            want = cofactor_inverse(f)
+            want = cofactor_inverse(f.entries)
         except SingularForm:
             with pytest.raises(SingularForm):
                 invert_form(f)
@@ -628,14 +636,27 @@ def test_invert_form_matches_cofactor_oracle():
 
 
 def test_invert_form_raises_on_singular_entries():
-    # claimed regular, but the Pfaffian q*q - 1*q^2 + 0*Gamma vanishes
-    f = form_from_upper([["q", "1", "0"],
-                         ["Gamma(1 + alpha)", "q^2"],
-                         ["q"]], _ORACLE_NAMES)
+    # the Pfaffian q*q - 1*q^2 + 0*Gamma vanishes, and the null space
+    # depends on q
+    entries = upper_entries([["q", "1", "0"],
+                             ["Gamma(1 + alpha)", "q^2"],
+                             ["q"]], _ORACLE_NAMES)
     with pytest.raises(SingularForm):
-        cofactor_inverse(f)
+        cofactor_inverse(entries)
+    with pytest.raises(RankDisagreement, match="not spanned by constant vectors"):
+        SymplecticForm(entries)
+    # q times the wedge of (1, 2, 0, 1) and (0, 1, 1, 1): the Pfaffian
+    # -q^2 - q^2 + 2*q^2 vanishes, and the null space is constant
+    f = form_from_upper([["q", "q", "q"],
+                         ["2*q", "q"],
+                         ["-q"]], _ORACLE_NAMES)
     with pytest.raises(SingularForm):
+        cofactor_inverse(f.entries)
+    assert f.rank == 2
+    assert f.null_basis == ((2, -1, 1, 0), (1, -1, 0, 1))
+    with pytest.raises(SingularForm) as err:
         invert_form(f)
+    assert err.value.null_basis == f.null_basis
 
 
 def test_exact_division_recovers_quotient_under_a_monomial_order():
@@ -708,7 +729,12 @@ def antisymmetric_forms(draw):
             text += " + %d*%s" % (draw(st.integers(-2, 2)),
                                   draw(st.sampled_from(_ENTRY_ATOMS)))
         upper[i][j - i - 1] = text
-    return form_from_upper(upper, _ORACLE_NAMES)
+    entries = upper_entries(upper, _ORACLE_NAMES)
+    try:
+        return SymplecticForm(entries)
+    except RankDisagreement:
+        # a singular draw whose null space depends on the fields
+        assume(False)
 
 
 def _rational_eval(e, atoms):
@@ -765,7 +791,7 @@ def test_dense_ten_variable_form_inverts_quickly():
     assert abs(np.linalg.det(k)) > 0.5
     entries = tuple(tuple(Constant(Fraction(int(x))) for x in row) for row in k)
     start = time.perf_counter()
-    inv = invert_form(SymplecticForm(entries, n, ()))
+    inv = invert_form(SymplecticForm(entries))
     elapsed = time.perf_counter() - start
     got = np.array([[evaluate(e) for e in row] for row in inv])
     assert elapsed < 2.0
@@ -800,3 +826,7 @@ def test_commutator_table():
     assert texts == [["0", "1"], ["-1", "0"]]
     d = ct.to_json_dict()
     assert d["commutators"] is not None
+    assert (d["prefactor"], d["convention"]) == ("1", CONVENTION)
+    plain = table.to_json_dict()
+    assert {k: v for k, v in d.items() if k != "commutators"} == \
+        {k: v for k, v in plain.items() if k != "commutators"}
