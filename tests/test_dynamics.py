@@ -283,6 +283,24 @@ def test_overflow_reported_at_first_non_finite_step(rhs, alpha, q0, h, scheme, s
             integrate(p)
 
 
+# The same on long fractional runs, where the first non-finite state lies
+# past the first block of steps whose history is summed directly.
+@pytest.mark.parametrize("rhs, window, scheme, step", [
+    ("q^2", None, GRUNWALD_LETNIKOV, 729),
+    ("q^2", None, PREDICTOR_CORRECTOR, 713),
+    ("q^2", 333, GRUNWALD_LETNIKOV, 739),
+    ("q^2", 333, PREDICTOR_CORRECTOR, 823),
+    ("-1 - q^(1/2)", None, GRUNWALD_LETNIKOV, 133),
+    ("-1 - q^(1/2)", None, PREDICTOR_CORRECTOR, 130),
+])
+def test_overflow_step_on_long_fractional_runs(rhs, window, scheme, step):
+    p = ivp(("q",), (rhs,), 0.5, (0.5,), 12.0, 1e-3, scheme=scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="^non-finite state at step %d$" % step):
+            integrate(p, window)
+
+
 @pytest.mark.parametrize("alpha, scheme", [(1.0, GRUNWALD_LETNIKOV),
                                            (1.0, PREDICTOR_CORRECTOR),
                                            (0.5, GRUNWALD_LETNIKOV),
