@@ -13,22 +13,26 @@ than through cancellation in the fractional weights.
 
 Cost model.  The right-hand side is one generated Python function of the
 state (expr.compile_expr), so an evaluation is one call returning a tuple.
-The classical loops step a list of Python floats and write each row into
-the state array as it is produced; each step costs one (Euler) or two
-(Heun) such calls plus O(d) float operations, with no numpy work.  In the
+Every loop steps lists of Python floats and writes each row into the state
+array as it is produced; a classical step costs one (Euler) or two (Heun)
+such calls plus O(d) float operations, with no numpy work.  In the
 fractional schemes every weight family (the binomial weights, the
 predictor's k^alpha differences, the corrector's product-integration
 weights from frac.product_weights) is built once per run, with
-min(N, window) entries, and stored reversed.  A step takes one contiguous
-slice of each and one BLAS dot against the retained history, so a
-full-history run of N steps costs O(N^2) multiply-adds in those dots and a
-windowed run O(N * window).
+min(N, window) entries, and read as a lag kernel.  The history sums are
+blocked (Hairer, Lubich & Schlichte): the run is split in halves down to
+blocks of at most BASE steps, each step takes the sum over its own block
+as one contiguous-slice dot, and what a finished half gives the half after
+it is added in by one FFT product (frac.lag_sums).  A run of N steps so
+costs O(N * BASE) in the dots plus O(N log^2 N) in the FFTs, windowed or
+not, and a run of at most BASE steps takes no FFT at all.
 
-Both kinds of loop give the float64 results bit for bit: where Python
-float arithmetic departs from float64 (an overflowing or zero-base power
-raises, a negative base under a fractional power turns complex), that
-evaluation or step is redone on float64 scalars, and the run stops with
-Overflow at the first step whose state is not finite.
+Every loop gives the float64 results bit for bit, up to the rounding of
+the FFT sums: where Python float arithmetic departs from float64 (an
+overflowing or zero-base power raises, a negative base under a fractional
+power turns complex), that step is redone with the right-hand side on
+float64, and the run stops with Overflow at the first step whose state is
+not finite.
 
 Initial data are plain state values at t = 0: the underlying derivative
 annihilates constants, so no fractional initial conditions are needed.
@@ -38,13 +42,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .expr import compile_expr, parse_expression, to_text
-from .frac import FracOrder, gamma, product_weights
+from .frac import FracOrder, gamma, lag_sums, product_weights
 from .serialize import render_json
 
 GRUNWALD_LETNIKOV = "grunwald-letnikov"
@@ -55,8 +60,9 @@ SINGLE_ORDER = "single-order"
 SEQUENTIAL_ALPHA_ALPHA = "sequential-alpha-alpha"
 COMPOSITIONS = (SINGLE_ORDER, SEQUENTIAL_ALPHA_ALPHA)
 
-# Full-history fractional sums cost O(N^2); this is the largest N accepted
-# without an explicit memory window.
+# The largest N accepted without an explicit memory window.  It was set
+# when full-history sums cost O(N^2) and is kept until a change of its own
+# measures a larger one.
 MEMORY_BUDGET = 150_000
 
 
@@ -191,61 +197,65 @@ class Trajectory:
         return sidecar
 
 
-def _check_finite(row: np.ndarray, step_index: int):
-    if not np.isfinite(row).all():
-        raise Overflow("non-finite state at step %d" % step_index)
-
-
 # Raised by Python float arithmetic where float64 gives inf or nan: by `**`,
-# and by math.isfinite or gamma on the complex result of a negative base
-# under a fractional exponent.  The evaluation or step is redone on float64.
+# and by math.isfinite or float() on the complex result of a negative base
+# under a fractional exponent.  The step is redone on float64.
 _NOT_FLOAT64 = (OverflowError, ZeroDivisionError, TypeError)
 
 
-def _rate(F, row: np.ndarray) -> np.ndarray:
-    """The right-hand side at a float64 state row, as a float64 array."""
-    try:
-        rate = np.array(F(row.tolist()))
-    except _NOT_FLOAT64:
-        return np.array(F(row))
-    return np.array(F(row)) if rate.dtype.kind == "c" else rate
+def _checked(row: list, n: int) -> list:
+    """row, if every entry is finite; Overflow at step n if not."""
+    if not all(map(math.isfinite, row)):
+        raise Overflow("non-finite state at step %d" % n)
+    return row
+
+
+def _float_rows(step, F, y, first: int, stop: int):
+    """Rows first .. stop - 1 of y, row n being step(cur, n, F) with cur
+    row n - 1, all lists of Python floats.
+
+    Where Python float arithmetic departs from float64 the step is redone
+    with F evaluated on float64, so every row is float64's bit for bit.
+    Overflow at the first row that is not finite.
+    """
+    cur = y[first - 1].tolist()
+    for n in range(first, stop):
+        try:
+            row = step(cur, n, F)
+            finite = all(map(math.isfinite, row))
+        except _NOT_FLOAT64:
+            row = step(cur, n, lambda v: F(np.array(v)))
+            finite = all(map(math.isfinite, row))
+        if not finite:
+            raise Overflow("non-finite state at step %d" % n)
+        y[n] = cur = row
 
 
 # The steps append in plain loops: on CPython 3.11 a list comprehension is a
 # call of its own, and these run once or twice per step.
 
-def _euler_step(F, cur, h):
-    out = []
-    for a, r in zip(cur, F(cur)):
-        out.append(a + h * r)
-    return out
-
-
-def _heun_step(F, cur, h):
-    r0 = F(cur)
-    guess = []
-    for a, r in zip(cur, r0):
-        guess.append(a + h * r)
+def _classical_step(scheme: str, h: float):
+    """The step at alpha = 1: explicit Euler for the difference scheme,
+    Heun for the predictor-corrector."""
     hh = 0.5 * h
-    out = []
-    for a, r, s in zip(cur, r0, F(guess)):
-        out.append(a + hh * (r + s))
-    return out
 
+    def euler(cur, n, F):
+        out = []
+        for a, r in zip(cur, F(cur)):
+            out.append(a + h * r)
+        return out
 
-def _classical(step, F, y, h):
-    """Step a state list of Python floats, writing each row into y."""
-    cur = y[0].tolist()
-    for n in range(1, len(y)):
-        try:
-            cur = step(F, cur, h)
-            finite = all(map(math.isfinite, cur))
-        except _NOT_FLOAT64:
-            cur = step(F, list(y[n - 1]), h)
-            finite = all(map(math.isfinite, cur))
-        if not finite:
-            raise Overflow("non-finite state at step %d" % n)
-        y[n] = cur
+    def heun(cur, n, F):
+        r0 = F(cur)
+        guess = []
+        for a, r in zip(cur, r0):
+            guess.append(a + h * r)
+        out = []
+        for a, r, s in zip(cur, r0, F(guess)):
+            out.append(a + hh * (r + s))
+        return out
+
+    return euler if scheme == GRUNWALD_LETNIKOV else heun
 
 
 def _gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -255,65 +265,146 @@ def _gl_weights(alpha: float, count: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], factors)))
 
 
-def _gl_fractional(F, y, times, h, alpha, window):
-    steps = len(times) - 1
-    m = min(steps, window)
-    # w_m .. w_1, so the history sum at step n is one contiguous slice
-    wr = _gl_weights(alpha, m)[:0:-1].copy()
-    ha = h ** alpha
-    y0 = y[0].copy()
+# The most steps a block sums over its own rows directly; longer runs are
+# split in halves, so runs of at most BASE steps never take an FFT.
+BASE = 128
+
+
+class _History:
+    """History sums of one weight family: sum_k g[n - k] x[k] over the rows
+    k of x in [first, n), for each step n.
+
+    g[l] is the weight at lag l; it ends at the memory window, so lags past
+    the window weigh nothing.  The rows are stepped in nested blocks
+    (Hairer, Lubich & Schlichte 1985).  Each row of acc starts at the
+    initial state; once rows [a, mid) are known, spill(a, mid, b) adds
+    scale times all they give rows [mid, b) into acc by one lag_sums
+    product.  A step then needs only the sum over its own block, rows
+    [a, n): near(a, n), one contiguous-slice dot.  In the first block
+    acc[n] is the initial state itself, so a run of at most BASE steps
+    does the direct sum's arithmetic.
+    """
+
+    def __init__(self, g: np.ndarray, x: np.ndarray, acc: np.ndarray,
+                 scale: float, first: int = 0):
+        self.g = g
+        self.m = len(g) - 1
+        self.wr = g[:0:-1].copy()  # g_m .. g_1, so a block's sum is one slice
+        self.x = x
+        self.acc = acc
+        self.scale = scale
+        self.first = first
+        self.hats = {}
+
+    def near(self, a: int, n: int) -> list:
+        lo = max(a, self.first, n - self.m)
+        return self.wr[self.m - n + lo:].dot(self.x[lo:n]).tolist()
+
+    def spill(self, a: int, mid: int, b: int):
+        lo = max(a, self.first, mid - self.m)
+        hi = min(b, mid + self.m)
+        s = lag_sums(self.g, self.x[lo:mid], mid - lo, hi - mid, self.hats)
+        s *= self.scale
+        self.acc[mid:hi] += s
+
+
+def _nested(a: int, b: int, base, histories):
+    """Step the rows of [a, b) past row 0 by halves: base(a, b) steps a
+    block of at most BASE steps, and each first half is spilled into the
+    histories before the second half is stepped."""
+    if b - max(a, 1) <= BASE:
+        base(a, b)
+        return
+    mid = (a + b) // 2
+    _nested(a, mid, base, histories)
+    for hist in histories:
+        hist.spill(a, mid, b)
+    _nested(mid, b, base, histories)
+
+
+def _gl_fractional(F, y, h, alpha, window):
+    steps = len(y) - 1
+    # y_n = y_0 + h^a F(y_{n-1}) - sum_j w_j (y_{n-j} - y_0), j = 1..n-lo;
+    # the rows of y not yet stepped hold y_0 minus their far sums
+    y[1:] = y[0]
     dy = np.zeros_like(y)
-    for n in range(1, steps + 1):
-        rate = _rate(F, y[n - 1])
-        lo = max(0, n - window)
-        # sum_j w_j (y_{n-j} - y_0) over the retained history j = 1..n-lo
-        hist = wr[m - n + lo:] @ dy[lo:n]
-        y[n] = y0 + ha * rate - hist
-        _check_finite(y[n], n)
-        dy[n] = y[n] - y0
+    hist = _History(_gl_weights(alpha, min(steps, window)), dy, y, -1.0)
+    ha = h ** alpha
+    y0 = y[0].tolist()
+
+    def base(a, b):
+        first = max(a, 1)
+        acc = hist.acc[first:b].tolist()
+
+        def step(cur, n, F):
+            out = []
+            for c, r, s in zip(acc[n - first], F(cur), hist.near(a, n)):
+                out.append(c + ha * r - s)
+            dy[n] = list(map(operator.sub, _checked(out, n), y0))
+            return out
+
+        _float_rows(step, F, y, first, b)
+
+    _nested(0, len(y), base, (hist,))
 
 
-def _pece_fractional(F, y, times, h, alpha, window):
-    steps = len(times) - 1
+def _pece_fractional(F, y, h, alpha, window):
+    steps = len(y) - 1
     m = min(steps, window)
-    dim = y.shape[1]
     pre_p = h ** alpha / gamma(alpha + 1.0)
     pre_c = h ** alpha / gamma(alpha + 2.0)
-    # weights by distance k = n - j back from the step, farthest first, so
-    # the sum over the retained nodes lo..n-1 is one contiguous slice:
-    # predictor k^a - (k-1)^a; corrector d2 at interior nodes, the anchor
-    # a0[n] while the origin is in the window, 1 on the predicted endpoint
-    pw = np.diff(np.arange(m + 1, dtype=float) ** alpha)[::-1].copy()
+    rates = np.zeros_like(y)
+    # predictor k^a - (k-1)^a at lag k; corrector d2 at lag k on rows from
+    # 1, the anchor a0[n] on the origin while it is in the window, and 1 on
+    # the predicted endpoint
     d2, a0 = product_weights(alpha, m)
-    cw = d2[::-1].copy()
-    y0 = y[0].copy()
-    rates = np.zeros((steps + 1, dim))
-    rates[0] = _rate(F, y0)
-    for n in range(1, steps + 1):
-        lo = max(0, n - window)
-        pred = y0 + pre_p * (pw[m - n + lo:] @ rates[lo:n])
-        _check_finite(pred, n)
-        rate_p = _rate(F, pred)
-        if lo:
-            hist = cw[m - n + lo:] @ rates[lo:n]
-        else:
-            hist = a0[n] * rates[0] + cw[m - n + 1:] @ rates[1:n]
-        y[n] = y0 + pre_c * (hist + rate_p)
-        _check_finite(y[n], n)
-        rates[n] = _rate(F, y[n])
+    # the rows of y not yet stepped collect the predictor's far sums
+    y[1:] = y[0]
+    pred = _History(np.diff(np.arange(m + 1, dtype=float) ** alpha,
+                            prepend=0.0), rates, y, pre_p)
+    corr = _History(np.concatenate(([0.0], d2)), rates, y.copy(), pre_c,
+                    first=1)
+
+    # on float64, as the start of a run is no place to save time
+    rates[0] = F(y[0])
+
+    def base(a, b):
+        first = max(a, 1)
+        accp = pred.acc[first:b].tolist()
+        accc = corr.acc[first:b].tolist()
+        anchor = np.outer(a0[first:b], rates[0]).tolist()
+
+        def step(cur, n, F):
+            sc = corr.near(a, n)
+            if n <= window:
+                sc = map(operator.add, anchor[n - first], sc)
+            guess = []
+            for c, s in zip(accp[n - first], pred.near(a, n)):
+                guess.append(c + pre_p * s)
+            out = []
+            for c, s, r in zip(accc[n - first], sc, F(_checked(guess, n))):
+                out.append(c + pre_c * (s + r))
+            # float() refuses a complex rate, so the step is redone on float64
+            rates[n] = list(map(float, F(_checked(out, n))))
+            return out
+
+        _float_rows(step, F, y, first, b)
+
+    _nested(0, len(y), base, (pred, corr))
 
 
 def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
     """Integrate the problem over its grid and return the Trajectory.
 
     memory_window, when given, truncates the fractional history sums to the
-    most recent `memory_window` steps (the short-memory principle).  This
-    trades accuracy for O(N * window) cost; with no window the full-history
-    sums are O(N^2) and runs longer than MEMORY_BUDGET steps are refused.
-    The history weights are built once per run, so the per-step cost is one
-    call of the generated right-hand side plus one BLAS dot per weight
-    family over the retained history; a window at least as long as the run
-    changes nothing.
+    most recent `memory_window` steps (the short-memory principle), which
+    trades accuracy for smaller FFT blocks; a window at least as long as
+    the run changes nothing.  With no window,
+    runs longer than MEMORY_BUDGET steps are refused.  The history weights
+    are built once per run; a step costs one call of the generated
+    right-hand side (two for the predictor-corrector) plus one dot per
+    weight family over its own block of at most BASE steps, and the older
+    history comes in by FFT, O(N log^2 N) over the run.
     """
     times = p.grid()
     steps = len(times) - 1
@@ -327,17 +418,16 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
     F, = p.compiled_rhs()
     y = np.zeros((steps + 1, p.dimension))
     y[0] = p.initial
-    _check_finite(y[0], 0)
+    _checked(y[0].tolist(), 0)
     # overflow in the arithmetic itself surfaces as the Overflow error at the
     # finiteness check, so the intermediate numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if p.alpha == 1.0:
-            step = _euler_step if p.scheme == GRUNWALD_LETNIKOV else _heun_step
-            _classical(step, F, y, p.step)
+            _float_rows(_classical_step(p.scheme, p.step), F, y, 1, len(y))
         elif p.scheme == GRUNWALD_LETNIKOV:
-            _gl_fractional(F, y, times, p.step, p.alpha, window)
+            _gl_fractional(F, y, p.step, p.alpha, window)
         else:
-            _pece_fractional(F, y, times, p.step, p.alpha, window)
+            _pece_fractional(F, y, p.step, p.alpha, window)
     meta = {
         "variables": list(p.variables),
         "alpha": p.alpha,

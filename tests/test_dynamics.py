@@ -7,8 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsymp.dynamics import (
+    BASE,
     GRUNWALD_LETNIKOV,
     MEMORY_BUDGET,
     PREDICTOR_CORRECTOR,
@@ -230,6 +233,27 @@ def test_fractional_schemes_match_direct_loops(alpha, scheme):
             assert np.array_equal(integrate(p, window).states, full)
 
 
+# Runs longer than BASE steps take their older history in FFT blocks; they
+# must still agree with the direct loops, for every kind of window.
+@settings(max_examples=25, deadline=None)
+@given(st.integers(BASE + 1, 4 * BASE), st.floats(0.1, 0.95),
+       st.sampled_from([GRUNWALD_LETNIKOV, PREDICTOR_CORRECTOR]), st.data())
+def test_blocked_history_matches_direct_loops(steps, alpha, scheme, data):
+    p = landau_problem(1.0, 2.0, 1.0, alpha, 0.3 + 0.1j, 0.5 - 0.2j,
+                       steps * 1e-2, 1e-2, composition=SEQUENTIAL_ALPHA_ALPHA,
+                       scheme=scheme)
+    assert len(p.grid()) == steps + 1
+    full = integrate(p).states
+    windows = (None, data.draw(st.integers(1, BASE - 1)),
+               data.draw(st.integers(BASE, steps - 1)),
+               data.draw(st.integers(steps, 2 * steps)))
+    for window in windows:
+        got = full if window is None else integrate(p, window).states
+        want = _oracle(p, window)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), window
+    assert np.array_equal(got, full)
+
+
 def _mittag_leffler(alpha, z):
     return sum(z ** k / math.gamma(alpha * k + 1.0) for k in range(200))
 
@@ -299,6 +323,16 @@ def test_overflow_step_on_long_fractional_runs(rhs, window, scheme, step):
         warnings.simplefilter("error")
         with pytest.raises(Overflow, match="^non-finite state at step %d$" % step):
             integrate(p, window)
+
+
+def test_overflow_step_where_block_sums_pass_the_float_range():
+    # D^a q = 40 q climbs to ~1e306: summed over a block of rows the history
+    # leaves the float range long before any one step's history sum does
+    p = ivp(("q",), ("40*q",), 0.5, (1.0,), 60.0, 1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="^non-finite state at step 469$"):
+            integrate(p)
 
 
 @pytest.mark.parametrize("alpha, scheme", [(1.0, GRUNWALD_LETNIKOV),

@@ -162,6 +162,18 @@ def test_grid_integral_matches_pointwise_at_every_node():
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_grid_integral_matches_pointwise_on_a_long_grid():
+    # 8000 nodes, where the all-nodes sum is a blocked FFT product; every
+    # seventh node and the last one, against the direct one-node sum
+    xs = 1e-3 * np.arange(8001)
+    nodes = np.r_[0:8001:7, 8000]
+    for dy in (np.sin(3.0 * xs) + np.sqrt(xs), np.cos(3.0 * xs) + 0.5):
+        for mu in (0.1, 0.5, 0.9):
+            got = _frac_integral_all(dy, mu, 1e-3)[nodes]
+            want = np.array([_frac_integral_at(dy, mu, 1e-3, n) for n in nodes])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_quadrature_convergence_order():
     # halving h should cut the error by at least 1.8x on a smooth monomial
     want = gamma(3.0) / gamma(2.5)
