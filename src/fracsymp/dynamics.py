@@ -365,7 +365,7 @@ def _pece_fractional(F, y, h, alpha, window):
     corr = _History(np.concatenate(([0.0], d2)), rates, y.copy(), pre_c,
                     first=1)
 
-    # on float64, as the start of a run is no place to save time
+    # evaluated on float64 rows, since no step redoes it
     rates[0] = F(y[0])
 
     def base(a, b):

@@ -216,27 +216,25 @@ def product_weights(mu: float, n_max: int):
 
 
 def lag_sums(g: np.ndarray, x: np.ndarray, start: int, count: int,
-             hats: dict | None = None) -> np.ndarray:
+             hats: dict) -> np.ndarray:
     """s[t] = sum_j g[start + t - j] * x[j] for t = 0 .. count - 1, the sum
     running over the rows j of x, with g zero at negative lags and past its
     end.
 
     One real-FFT product of the rows of x with the stretch of g these sums
     read, so the cost is O(n log n) in n = len(x) + count instead of the
-    direct O(len(x) * count).  hats, when given, keeps g's transform per
-    (start, len(x), count) for callers that reuse a block shape.
+    direct O(len(x) * count).  hats keeps g's transform per (start,
+    len(x), count), for callers that reuse a block shape.
     """
     p = len(x)
     lo = max(0, start - p + 1)
     # at least p + count - 1 points, so none of the wanted sums wraps round
     size = 1 << (p + count - 2).bit_length()
     key = (start, p, count)
-    hat = None if hats is None else hats.get(key)
+    hat = hats.get(key)
     if hat is None:
-        hat = np.fft.rfft(g[lo:start + count], size).reshape(
+        hat = hats[key] = np.fft.rfft(g[lo:start + count], size).reshape(
             (-1,) + (1,) * (x.ndim - 1))
-        if hats is not None:
-            hats[key] = hat
     # x scaled by a power of two, which is exact, so that the transform
     # does not overflow where the sums themselves do not
     e = math.frexp(np.abs(x).max(initial=0.0))[1]
@@ -259,7 +257,7 @@ def _frac_integral_all(dy: np.ndarray, mu: float, h: float) -> np.ndarray:
     d2, a0 = product_weights(mu, n_max)
     kernel = np.concatenate(([1.0], d2[:n_max - 1]))
     out = np.zeros(n_max + 1)
-    out[1:] = lag_sums(kernel, dy[1:], 0, n_max) + a0[1:] * dy[0]
+    out[1:] = lag_sums(kernel, dy[1:], 0, n_max, {}) + a0[1:] * dy[0]
     return h**mu / gamma(mu + 2.0) * out
 
 
