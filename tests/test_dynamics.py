@@ -298,6 +298,11 @@ def test_overflow_detected():
     ("-1 - q^(1/2)", 0.5, 0.5, 1e-2, GRUNWALD_LETNIKOV, 14),
     ("-1 - q^(1/2)", 0.5, 0.5, 1e-2, PREDICTOR_CORRECTOR, 12),
     ("q^(-1)", 1.0, 0.0, 0.1, GRUNWALD_LETNIKOV, 1),
+    # past the first 1024 rows of a classical run
+    ("q^2", 1.0, 1.0, 4e-4, GRUNWALD_LETNIKOV, 2518),
+    ("q^2", 1.0, 1.0, 4e-4, PREDICTOR_CORRECTOR, 2505),
+    ("-1 - q^(1/2)", 1.0, 0.5, 2e-4, GRUNWALD_LETNIKOV, 1724),
+    ("-1 - q^(1/2)", 1.0, 0.5, 2e-4, PREDICTOR_CORRECTOR, 1724),
 ])
 def test_overflow_reported_at_first_non_finite_step(rhs, alpha, q0, h, scheme, step):
     p = ivp(("q",), (rhs,), alpha, (q0,), 2.0, h, scheme=scheme)
@@ -335,13 +340,18 @@ def test_overflow_step_where_block_sums_pass_the_float_range():
             integrate(p)
 
 
-@pytest.mark.parametrize("alpha, scheme", [(1.0, GRUNWALD_LETNIKOV),
-                                           (1.0, PREDICTOR_CORRECTOR),
-                                           (0.5, GRUNWALD_LETNIKOV),
-                                           (0.5, PREDICTOR_CORRECTOR)])
-def test_overflow_absorbed_in_float64_does_not_stop_the_run(alpha, scheme):
+# the four runs of 10 steps keep their ids; at h = 4e-4 a classical run
+# overflows on every one of 2500 steps, past the first 1024 rows
+_ABSORBED = [(1.0, GRUNWALD_LETNIKOV, 0.1), (1.0, PREDICTOR_CORRECTOR, 0.1),
+             (0.5, GRUNWALD_LETNIKOV, 0.1), (0.5, PREDICTOR_CORRECTOR, 0.1),
+             (1.0, GRUNWALD_LETNIKOV, 4e-4), (1.0, PREDICTOR_CORRECTOR, 4e-4)]
+
+
+@pytest.mark.parametrize("alpha, scheme, h", _ABSORBED, ids=[
+    "%s-%s" % (a, s) + ("" if h == 0.1 else "-%g" % h) for a, s, h in _ABSORBED])
+def test_overflow_absorbed_in_float64_does_not_stop_the_run(alpha, scheme, h):
     # q^400 overflows at q = 10, but (1 + inf)^(-1) = 0 in float64
-    p = ivp(("q",), ("(1 + q^400)^(-1)",), alpha, (10.0,), 1.0, 0.1,
+    p = ivp(("q",), ("(1 + q^400)^(-1)",), alpha, (10.0,), 1.0, h,
             scheme=scheme)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
