@@ -81,6 +81,22 @@ def test_grid_and_hash():
     assert p.content_hash() != oscillator(0.6, h=0.25, T=1.0).content_hash()
 
 
+# Each horizon is a whole number of steps in decimal, but horizon / step
+# is just below that number in floating point.
+@pytest.mark.parametrize("horizon, step, steps", [(256.14, 1e-2, 25614),
+                                                  (218.64, 1e-2, 21864),
+                                                  (16.391, 1e-3, 16391)])
+def test_grid_keeps_the_last_step(horizon, step, steps):
+    assert horizon / step < steps
+    times = oscillator(0.5, h=step, T=horizon).grid()
+    assert len(times) == steps + 1
+    assert times[-1] == step * steps
+
+
+def test_grid_rounds_down_off_the_step_lattice():
+    assert len(oscillator(0.5, h=0.1, T=1.05).grid()) == 11
+
+
 def test_rhs_constants():
     p = ivp(("q",), ("-k*q",), 1.0, (1.0,), 1.0, 1e-3,
             scheme=PREDICTOR_CORRECTOR, constants={"k": 2.0})
