@@ -129,7 +129,17 @@ class FractionalIVP:
         return len(self.variables)
 
     def grid(self) -> np.ndarray:
-        n = int(math.floor(self.horizon / self.step + 1e-12))
+        """The nodes 0, step, ..., N * step, N = horizon / step rounded down.
+
+        A quotient within 4 ulps (or 1e-12) of an integer counts as that
+        integer: a horizon that is a whole number of steps in decimal can
+        divide to just below it, as 256.14 / 1e-2 gives 25613.999999999996,
+        and still gets its last step.
+        """
+        r = self.horizon / self.step
+        n = round(r)
+        if abs(r - n) > max(4 * math.ulp(r), 1e-12):
+            n = math.floor(r)
         return self.step * np.arange(n + 1)
 
     def content_hash(self) -> str:
