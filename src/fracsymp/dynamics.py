@@ -11,12 +11,15 @@ At alpha = 1 both dispatch to literal classical loops (explicit Euler and
 Heun respectively), so the classical limit is reproduced exactly rather
 than through cancellation in the fractional weights.
 
-Cost model.  The right-hand side is one generated Python function of the
-state (expr.compile_expr), so an evaluation is one call returning a tuple.
-Every loop steps lists of Python floats and writes each row into the state
-array as it is produced; a classical step costs one (Euler) or two (Heun)
-such calls plus O(d) float operations, with no numpy work.  In the
-fractional schemes every weight family (the binomial weights, the
+Cost model.  An alpha = 1 run is one generated Python function holding the
+whole Euler or Heun loop with the right-hand side written out inline
+(from the emitter of expr.compile_expr): the state lives in locals, so a
+step is O(d) float operations and d finiteness checks, with no call, list
+or numpy work, and the rows go into the state array 1024 at a time.  In
+the fractional schemes the right-hand side is one generated function of
+the state (expr.compile_expr), so an evaluation is one call returning a
+tuple; every step works on lists of Python floats and writes its row into
+the state array as it is produced.  Every weight family (the binomial weights, the
 predictor's k^alpha differences, the corrector's product-integration
 weights from frac.product_weights) is built once per run, with
 min(N, window) entries, and read as a lag kernel.  The history sums are
@@ -30,8 +33,7 @@ not, and a run of at most BASE steps takes no FFT at all.
 Every loop gives the float64 results bit for bit, up to the rounding of
 the FFT sums: where Python float arithmetic departs from float64 (an
 overflowing or zero-base power raises, a negative base under a fractional
-power turns complex), that step is redone with the right-hand side on
-float64, and the run stops with Overflow at the first step whose state is
+power turns complex), that step is redone on float64, and the run stops with Overflow at the first step whose state is
 not finite.
 
 Initial data are plain state values at t = 0: the underlying derivative
@@ -48,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import compile_expr, parse_expression, to_text
+from .expr import _define, _emit_values, compile_expr, parse_expression, to_text
 from .frac import FracOrder, gamma, lag_sums, product_weights
 from .serialize import render_json
 
@@ -156,7 +158,8 @@ class FractionalIVP:
 
     def compiled_rhs(self) -> list:
         """[F]: the right-hand side as one generated function, F(state) ->
-        tuple of the rates D^alpha variables[i]."""
+        tuple of the rates D^alpha variables[i]; the fractional loops step
+        with it."""
         return [compile_expr(self.rhs, self.variables, self.constants)]
 
 
@@ -241,31 +244,76 @@ def _float_rows(step, F, y, first: int, stop: int):
         y[n] = cur = row
 
 
-# The steps append in plain loops: on CPython 3.11 a list comprehension is a
-# call of its own, and these run once or twice per step.
+# The rows a classical run collects before it writes them into the state
+# array with one slice assignment.
+ROW_BLOCK = 1024
 
-def _classical_step(scheme: str, h: float):
-    """The step at alpha = 1: explicit Euler for the difference scheme,
-    Heun for the predictor-corrector."""
+
+def _classical_loop(p: FractionalIVP):
+    """The alpha = 1 loop of p, explicit Euler for the difference scheme and
+    Heun for the predictor-corrector, as one generated function with the
+    right-hand side written out inline.
+
+    run(y, cur, first, stop) steps rows first .. stop - 1 of y from the
+    state cur of row first - 1, in the arithmetic of cur's elements, and
+    returns the first step it did not write: stop, or a step whose
+    arithmetic raised one of _NOT_FLOAT64 or whose state is not finite.
+    """
+    d = p.dimension
+    ys = ", ".join("y%d" % i for i in range(d)) + ","
+    h = float(p.step)
     hh = 0.5 * h
+    body = ["r%d = %s" % (i, v) for i, v in enumerate(
+        _emit_values(p.rhs, p.variables, p.constants))]
+    if p.scheme == GRUNWALD_LETNIKOV:
+        body += ["y%d = y%d + %r * r%d" % (i, i, h, i) for i in range(d)]
+    else:
+        body += ["g%d = y%d + %r * r%d" % (i, i, h, i) for i in range(d)]
+        body += ["s%d = %s" % (i, v) for i, v in enumerate(
+            _emit_values(p.rhs, p.variables, p.constants, prefix="g"))]
+        body += ["y%d = y%d + %r * (r%d + s%d)" % (i, i, hh, i, i)
+                 for i in range(d)]
+    body += ["if not (%s):" % " and ".join(
+                 "_isfinite(y%d)" % i for i in range(d)),
+             "    break",
+             "rows.append((%s))" % ys]
+    source = "\n".join([
+        "def run(y, cur, first, stop):",
+        "    %s = cur" % ys,
+        "    for lo in range(first, stop, %d):" % ROW_BLOCK,
+        "        rows = []",
+        "        try:",
+        "            for n in range(lo, min(lo + %d, stop)):" % ROW_BLOCK,
+        *("                " + line for line in body),
+        "            else:",
+        "                y[lo:n + 1] = rows",
+        "                continue",
+        "        except _NOT_FLOAT64:",
+        "            pass",
+        "        if rows:",
+        "            y[lo:n] = rows",
+        "        return n",
+        "    return stop",
+        ""])
+    return _define(source, "run", _isfinite=math.isfinite,
+                   _NOT_FLOAT64=_NOT_FLOAT64)
 
-    def euler(cur, n, F):
-        out = []
-        for a, r in zip(cur, F(cur)):
-            out.append(a + h * r)
-        return out
 
-    def heun(cur, n, F):
-        r0 = F(cur)
-        guess = []
-        for a, r in zip(cur, r0):
-            guess.append(a + h * r)
-        out = []
-        for a, r, s in zip(cur, r0, F(guess)):
-            out.append(a + hh * (r + s))
-        return out
+def _classical(run, y):
+    """Step every row of y past row 0 by run (_classical_loop) on Python
+    floats.
 
-    return euler if scheme == GRUNWALD_LETNIKOV else heun
+    A step where they depart from float64 is redone by the same loop on
+    float64 scalars, so every row is float64's bit for bit.  Overflow at
+    the first row that is not finite.
+    """
+    n = 1
+    while n < len(y):
+        n = run(y, y[n - 1].tolist(), n, len(y))
+        if n < len(y):
+            if run(y, tuple(y[n - 1]), n, n + 1) == n:
+                raise Overflow("non-finite state at step %d" % n)
+            n += 1
 
 
 def _gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -331,6 +379,9 @@ def _nested(a: int, b: int, base, histories):
         hist.spill(a, mid, b)
     _nested(mid, b, base, histories)
 
+
+# The steps append in plain loops: on CPython 3.11 a list comprehension is a
+# call of its own, and these run once or twice per step.
 
 def _gl_fractional(F, y, h, alpha, window):
     steps = len(y) - 1
@@ -410,11 +461,12 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
     most recent `memory_window` steps (the short-memory principle), which
     trades accuracy for smaller FFT blocks; a window at least as long as
     the run changes nothing.  With no window,
-    runs longer than MEMORY_BUDGET steps are refused.  The history weights
-    are built once per run; a step costs one call of the generated
-    right-hand side (two for the predictor-corrector) plus one dot per
-    weight family over its own block of at most BASE steps, and the older
-    history comes in by FFT, O(N log^2 N) over the run.
+    runs longer than MEMORY_BUDGET steps are refused.  At alpha = 1 the
+    run is one generated loop with no per-step calls.  Otherwise the
+    history weights are built once per run; a step costs one call of the
+    generated right-hand side (two for the predictor-corrector) plus one
+    dot per weight family over its own block of at most BASE steps, and
+    the older history comes in by FFT, O(N log^2 N) over the run.
     """
     times = p.grid()
     steps = len(times) - 1
@@ -425,7 +477,10 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
             "%d steps exceed the %d-step full-history budget; pass a "
             "memory_window to accept truncation" % (steps, MEMORY_BUDGET))
     window = memory_window or steps
-    F, = p.compiled_rhs()
+    if p.alpha == 1.0:
+        run = _classical_loop(p)
+    else:
+        F, = p.compiled_rhs()
     y = np.zeros((steps + 1, p.dimension))
     y[0] = p.initial
     _checked(y[0].tolist(), 0)
@@ -433,7 +488,7 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
     # finiteness check, so the intermediate numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if p.alpha == 1.0:
-            _float_rows(_classical_step(p.scheme, p.step), F, y, 1, len(y))
+            _classical(run, y)
         elif p.scheme == GRUNWALD_LETNIKOV:
             _gl_fractional(F, y, p.step, p.alpha, window)
         else:

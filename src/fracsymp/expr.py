@@ -693,10 +693,21 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
     turns complex for a negative state-dependent base under a fractional
     exponent, where numpy float64 elements give inf or nan.
     """
-    from .frac import FracError, gamma
-
     order = tuple(order)
-    names = {name: "y%d" % i for i, name in enumerate(order)}
+    values = "".join(v + ", " for v in _emit_values(exprs, order, binding))
+    slots = ", ".join("y%d" % i for i in range(len(order)))
+    unpack = "    %s, = y\n" % slots if order else ""
+    return _define("def F(y):\n%s    return (%s)\n" % (unpack, values), "F")
+
+
+def _emit_values(exprs: Iterable[Expr], order: Iterable[str],
+                 binding: Binding | None = None, prefix: str = "y") -> list:
+    """The Python source of each expression's value, the names in `order`
+    read from the slots prefix0, prefix1, ...: compile_expr's emitter, with
+    its rules and its errors."""
+    from .frac import FracError
+
+    names = {name: "%s%d" % (prefix, i) for i, name in enumerate(order)}
     b = dict(binding or {})
 
     def num(v: float) -> str:
@@ -733,13 +744,17 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
             return "_gamma(%s)" % emit(n.arg)
         raise TypeError(f"unknown node {n!r}")
 
-    values = "".join(emit(e) + ", " for e in exprs)
-    slots = ", ".join("y%d" % i for i in range(len(order)))
-    unpack = "    %s, = y\n" % slots if order else ""
-    source = "def F(y):\n%s    return (%s)\n" % (unpack, values)
-    namespace = {"_gamma": gamma}
+    return [emit(e) for e in exprs]
+
+
+def _define(source: str, name: str, **names) -> Callable:
+    """The function `name` defined by generated source that sees _gamma and
+    `names` as globals."""
+    from .frac import gamma
+
+    namespace = {"_gamma": gamma, **names}
     exec(compile(source, "<compile_expr>", "exec"), namespace)
-    return namespace["F"]
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------

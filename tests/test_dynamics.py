@@ -3,6 +3,7 @@ problem, and frequency measurement."""
 
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -28,8 +29,12 @@ from fracsymp.dynamics import (
     measure_frequency,
     simulate_landau,
 )
-from fracsymp.expr import ExprError, evaluate, parse_expression
+from fracsymp.expr import ExprError, compile_expr, evaluate, parse_expression
 from fracsymp.frac import gamma
+from fracsymp.modelfile import parse_model_file
+from fracsymp.symplectic import fractional_equations_of_motion
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def ivp(names, rhs_texts, alpha, initial, horizon, step, **kw):
@@ -132,6 +137,54 @@ def test_order_one_euler_first_order_convergence():
         errs.append(abs(integrate(p).terminal()[0] - math.exp(-1.0)))
     assert errs[0] / errs[1] > 1.3
     assert errs[1] / errs[2] > 1.3
+
+
+# The alpha = 1 steps as closures over compile_expr's F, kept as the oracle
+# for the loop integrate() generates with the right-hand side inlined: the
+# same arithmetic in the same order, so every row must be equal bit for bit.
+
+def _classical_step(scheme, h):
+    hh = 0.5 * h
+
+    def euler(cur, F):
+        return [a + h * r for a, r in zip(cur, F(cur))]
+
+    def heun(cur, F):
+        r0 = F(cur)
+        guess = [a + h * r for a, r in zip(cur, r0)]
+        return [a + hh * (r + s) for a, r, s in zip(cur, r0, F(guess))]
+
+    return euler if scheme == GRUNWALD_LETNIKOV else heun
+
+
+def _classical_oracle(p):
+    F = compile_expr(p.rhs, p.variables, p.constants)
+    step = _classical_step(p.scheme, p.step)
+    y = np.zeros((len(p.grid()), p.dimension))
+    y[0] = cur = list(p.initial)
+    for n in range(1, len(y)):
+        y[n] = cur = step(cur, F)
+    return y
+
+
+def _anharmonic4(steps, scheme):
+    model = parse_model_file(str(GOLDEN / "anharmonic4.model")).model
+    rhs = tuple(e for _, e in fractional_equations_of_motion(model))
+    return FractionalIVP(model.variables, rhs, 1.0, (0.5, -0.4, 0.2, 0.1),
+                         steps * 1e-3, 1e-3, scheme=scheme,
+                         constants={**model.constants, "alpha": 1.0})
+
+
+# The generated loop writes its rows in blocks of 1024: runs end just before,
+# on and just past a block edge, and one spans several blocks.
+@pytest.mark.parametrize("scheme", [GRUNWALD_LETNIKOV, PREDICTOR_CORRECTOR])
+@pytest.mark.parametrize("steps", [1023, 1024, 1025, 3077])
+def test_classical_loop_matches_stepped_closures(steps, scheme):
+    landau = landau_problem(1.0, 2.0, 1.0, 0.7, 0.3 + 0.1j, 0.5 - 0.2j,
+                            steps * 1e-2, 1e-2, scheme=scheme)
+    for p in (_anharmonic4(steps, scheme), landau):
+        assert p.alpha == 1.0 and len(p.grid()) == steps + 1
+        assert np.array_equal(integrate(p).states, _classical_oracle(p))
 
 
 # -- fractional schemes ------------------------------------------------------
