@@ -14,8 +14,9 @@ than through cancellation in the fractional weights.
 Cost model.  An alpha = 1 run is one generated Python function holding the
 whole Euler or Heun loop with the right-hand side written out inline
 (from the emitter of expr.compile_expr): the state lives in locals, so a
-step is O(d) float operations and d finiteness checks, with no call, list
-or numpy work, and the rows go into the state array 1024 at a time.  In
+step is O(d) float operations and d finiteness checks, with no
+right-hand-side call, list or numpy work, and the rows go into the state
+array ROW_BLOCK at a time.  In
 the fractional schemes the right-hand side is one generated function of
 the state (expr.compile_expr), so an evaluation is one call returning a
 tuple; every step works on lists of Python floats and writes its row into
@@ -245,8 +246,9 @@ def _float_rows(step, F, y, first: int, stop: int):
 
 
 # The rows a classical run collects before it writes them into the state
-# array with one slice assignment.
-ROW_BLOCK = 1024
+# array with one slice assignment: enough to spread the assignment's fixed
+# cost thin, few enough that their tuples stay small (about 40 KB at d = 4).
+ROW_BLOCK = 256
 
 
 def _classical_loop(p: FractionalIVP):

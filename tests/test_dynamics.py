@@ -175,7 +175,7 @@ def _anharmonic4(steps, scheme):
                          constants={**model.constants, "alpha": 1.0})
 
 
-# The generated loop writes its rows in blocks of 1024: runs end just before,
+# The generated loop writes its rows in blocks of 256: runs end just before,
 # on and just past a block edge, and one spans several blocks.
 @pytest.mark.parametrize("scheme", [GRUNWALD_LETNIKOV, PREDICTOR_CORRECTOR])
 @pytest.mark.parametrize("steps", [1023, 1024, 1025, 3077])
@@ -367,7 +367,7 @@ def test_overflow_detected():
     ("-1 - q^(1/2)", 0.5, 0.5, 1e-2, GRUNWALD_LETNIKOV, 14),
     ("-1 - q^(1/2)", 0.5, 0.5, 1e-2, PREDICTOR_CORRECTOR, 12),
     ("q^(-1)", 1.0, 0.0, 0.1, GRUNWALD_LETNIKOV, 1),
-    # past the first 1024 rows of a classical run
+    # past step 1024 of a classical run
     ("q^2", 1.0, 1.0, 4e-4, GRUNWALD_LETNIKOV, 2518),
     ("q^2", 1.0, 1.0, 4e-4, PREDICTOR_CORRECTOR, 2505),
     ("-1 - q^(1/2)", 1.0, 0.5, 2e-4, GRUNWALD_LETNIKOV, 1724),
@@ -410,7 +410,7 @@ def test_overflow_step_where_block_sums_pass_the_float_range():
 
 
 # the four runs of 10 steps keep their ids; at h = 4e-4 a classical run
-# overflows on every one of 2500 steps, past the first 1024 rows
+# overflows on every one of 2500 steps, past step 1024
 _ABSORBED = [(1.0, GRUNWALD_LETNIKOV, 0.1), (1.0, PREDICTOR_CORRECTOR, 0.1),
              (0.5, GRUNWALD_LETNIKOV, 0.1), (0.5, PREDICTOR_CORRECTOR, 0.1),
              (1.0, GRUNWALD_LETNIKOV, 4e-4), (1.0, PREDICTOR_CORRECTOR, 4e-4)]
