@@ -754,7 +754,9 @@ def _define(source: str, name: str, **names) -> Callable:
 
     namespace = {"_gamma": gamma, **names}
     exec(compile(source, "<compile_expr>", "exec"), namespace)
-    return namespace[name]
+    # taken out of its own globals, so that no reference cycle keeps it (and
+    # its code) alive until the cyclic collector runs
+    return namespace.pop(name)
 
 
 # ---------------------------------------------------------------------------
