@@ -117,6 +117,10 @@ class FractionalIVP:
         FracOrder(float(self.alpha))
         if self.step <= 0:
             raise DynamicsError("step must be positive")
+        if not (math.isfinite(self.step)
+                and math.isfinite(self.horizon / self.step)):
+            raise DynamicsError(
+                "step, horizon and horizon / step must be finite")
         if self.horizon < self.step:
             raise DynamicsError("horizon must cover at least one step")
         if self.scheme not in SCHEMES:
@@ -230,18 +234,15 @@ def _float_rows(step, F, y, first: int, stop: int):
 
     Where Python float arithmetic departs from float64 the step is redone
     with F evaluated on float64, so every row is float64's bit for bit.
+    The steps check their own rows (_checked), so the run stops with
     Overflow at the first row that is not finite.
     """
     cur = y[first - 1].tolist()
     for n in range(first, stop):
         try:
             row = step(cur, n, F)
-            finite = all(map(math.isfinite, row))
         except _NOT_FLOAT64:
             row = step(cur, n, lambda v: F(np.array(v)))
-            finite = all(map(math.isfinite, row))
-        if not finite:
-            raise Overflow("non-finite state at step %d" % n)
         y[n] = cur = row
 
 

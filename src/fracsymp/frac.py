@@ -55,37 +55,29 @@ class OutsideFragment(FracError):
     power fragment."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients; relative error well under
-# 1e-12 across the range used here.  Reflection handles x < 1/2.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
+    """Gamma(x) in float64, for every float argument.
+
+    At the positive integers up to GAMMA_EXACT_MAX it is the exact (n-1)!,
+    so that classical-limit identities like Gamma(2) = 1 hold to the last
+    bit.  The non-positive integers are poles and raise
+    PoleAtNonPositiveInteger.  Everything else is math.gamma's value,
+    with float64's answer where math.gamma raises: inf where Gamma passes
+    the largest float (x > 171.62, and the integers from 172 up), and nan
+    at -inf.  gamma(inf) is inf and gamma(nan) is nan.
+    """
     x = float(x)
-    if x <= 0 and x == math.floor(x):
-        raise PoleAtNonPositiveInteger(x)
-    if x == math.floor(x) and x <= GAMMA_EXACT_MAX:
-        # exact at integer arguments, where classical-limit identities
-        # like Gamma(2) = 1 must hold to the last bit
-        return float(math.factorial(int(x) - 1))
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    if x.is_integer():
+        if x <= 0:
+            raise PoleAtNonPositiveInteger(x)
+        if x <= GAMMA_EXACT_MAX:
+            return float(math.factorial(int(x) - 1))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+    except ValueError:  # -inf, the one argument left that is not a pole
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -261,14 +253,6 @@ def _frac_integral_all(dy: np.ndarray, mu: float, h: float) -> np.ndarray:
     return h**mu / gamma(mu + 2.0) * out
 
 
-def _frac_integral_at(dy: np.ndarray, mu: float, h: float, n: int) -> float:
-    if n == 0:
-        return 0.0
-    d2, a0 = product_weights(mu, n)
-    acc = a0[n] * dy[0] + dy[n] + float(np.dot(d2[:n - 1][::-1], dy[1:n]))
-    return h**mu / gamma(mu + 2.0) * acc
-
-
 def _grid_index(f: SampledFunction, x: float) -> int:
     h = f.h
     k = int(round(x / h))
@@ -278,43 +262,32 @@ def _grid_index(f: SampledFunction, x: float) -> int:
 
 
 def mrl_derivative_quadrature(f: SampledFunction, alpha, x: float) -> float:
-    """Numerical derivative at a grid node.
+    """Numerical derivative at a grid node: node k of mrl_derivative_grid
+    on the samples up to node k + 1, or up to k itself at the last node.
 
-    The fractional integral of order 1-alpha of the origin-shifted samples is
-    formed by product integration and then differenced on the grid (centered
-    when a node is available beyond x, one-sided at the boundary).
+    So the difference is centered when a node is available beyond x and
+    one-sided at the end of the grid, and never the looser one-sided
+    stencil at the origin.
     """
     a = _order(alpha)
     k = _grid_index(f, x)
     if k < 4:
         raise InsufficientGrid(f"need at least 4 nodes before x, have {k}")
-    h = f.h
-    ys = f.ys
-    if a == 1.0:
-        if k + 1 < len(ys):
-            return float(ys[k + 1] - ys[k - 1]) / (2.0 * h)
-        return float(3.0 * ys[k] - 4.0 * ys[k - 1] + ys[k - 2]) / (2.0 * h)
-    mu = 1.0 - a
-    dy = ys - ys[0]
-    if k + 1 < len(ys):
-        i_hi = _frac_integral_at(dy, mu, h, k + 1)
-        i_lo = _frac_integral_at(dy, mu, h, k - 1)
-        return (i_hi - i_lo) / (2.0 * h)
-    i0 = _frac_integral_at(dy, mu, h, k)
-    i1 = _frac_integral_at(dy, mu, h, k - 1)
-    i2 = _frac_integral_at(dy, mu, h, k - 2)
-    return (3.0 * i0 - 4.0 * i1 + i2) / (2.0 * h)
+    stop = min(k + 2, len(f.xs))
+    head = SampledFunction(f.xs[:stop], f.ys[:stop])
+    return float(mrl_derivative_grid(head, a)[k])
 
 
 def mrl_derivative_grid(f: SampledFunction, alpha) -> np.ndarray:
     """Derivative at every node, for composing sequential applications.
 
     Interior nodes are centered differences of the fractional integral; the
-    two ends use second-order one-sided stencils.  Looser than the pointwise
-    routine near the origin by construction: the one-sided stencil at node 0
-    sees an integral that is not smooth there, so its error is O(h^(1-alpha))
-    for smooth f (the exact value 0 comes out as a multiple of h^(1-alpha))
-    and O(1), not vanishing under refinement, for an x^alpha-type onset.
+    two ends use second-order one-sided stencils.  Looser at the origin
+    than at the nodes mrl_derivative_quadrature reads (k >= 4) by
+    construction: the one-sided stencil at node 0 sees an integral that is
+    not smooth there, so its error is O(h^(1-alpha)) for smooth f (the
+    exact value 0 comes out as a multiple of h^(1-alpha)) and O(1), not
+    vanishing under refinement, for an x^alpha-type onset.
     A sequential composition inherits that error: the outer stage subtracts
     the node-0 value from every node, so an error delta there shifts the
     outer derivative by -delta * x^(-alpha) / Gamma(1-alpha).

@@ -202,6 +202,20 @@ def test_simulate_requires_step(capsys, tmp_path):
     capsys.readouterr()
 
 
+# A horizon or step that is not finite, or whose ratio is not, is refused
+# before any grid is built.
+@pytest.mark.parametrize("horizon, step", [("inf", "0.1"), ("1e300", "1e-300"),
+                                           ("1", "nan")])
+def test_simulate_rejects_non_finite_grid(capsys, tmp_path, horizon, step):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "simulate", "--landau", "1", "1", "1",
+                         "--alpha", "1", "--T", horizon, "--h", step,
+                         "--out", str(out_path))
+    assert code == 1
+    assert "must be finite" in err
+    assert not out_path.exists()
+
+
 def test_simulate_model_needs_initial(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", model("canonical_pair"),
                          "--alpha", "1.0", "--T", "1.0", "--h", "1e-2",

@@ -372,6 +372,11 @@ def test_overflow_detected():
     ("q^2", 1.0, 1.0, 4e-4, PREDICTOR_CORRECTOR, 2505),
     ("-1 - q^(1/2)", 1.0, 0.5, 2e-4, GRUNWALD_LETNIKOV, 1724),
     ("-1 - q^(1/2)", 1.0, 0.5, 2e-4, PREDICTOR_CORRECTOR, 1724),
+    # Gamma passing the float range gives inf, so the state turns non-finite
+    pytest.param("Gamma(q)", 1.0, 3.0, 1e-2, GRUNWALD_LETNIKOV, 48, id="gamma-euler"),
+    pytest.param("Gamma(q)", 1.0, 3.0, 1e-2, PREDICTOR_CORRECTOR, 45, id="gamma-heun"),
+    pytest.param("Gamma(q)", 0.5, 3.0, 1e-2, GRUNWALD_LETNIKOV, 12, id="gamma-gl"),
+    pytest.param("Gamma(q)", 0.5, 3.0, 1e-2, PREDICTOR_CORRECTOR, 9, id="gamma-pece"),
 ])
 def test_overflow_reported_at_first_non_finite_step(rhs, alpha, q0, h, scheme, step):
     p = ivp(("q",), (rhs,), alpha, (q0,), 2.0, h, scheme=scheme)
@@ -488,7 +493,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,q,p"
     assert len(lines) == 6
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(pathlib.Path(sidecar).read_text())
     assert meta["scheme"] == PREDICTOR_CORRECTOR
 
 
@@ -533,6 +538,28 @@ def test_landau_speed_conserved():
     t = simulate_landau(1.0, 1.0, 1.0, 0.8, 0j, 1j, 10.0, 1e-3, SINGLE_ORDER)
     w = np.hypot(t.column("w1"), t.column("w2"))
     assert np.max(np.abs(w - 1.0)) < 1e-4
+
+
+# Self-convergence: the max-norm gap between the terminal states at h and
+# h / 2, for h = 2e-2 .. 2.5e-3.  GL and Euler are first order, the
+# sequential predictor-corrector about 1 + alpha and Heun second order.
+@pytest.mark.parametrize("alpha", [0.6, 0.8])
+@pytest.mark.parametrize("composition, scheme", [
+    (SEQUENTIAL_ALPHA_ALPHA, GRUNWALD_LETNIKOV),
+    (SEQUENTIAL_ALPHA_ALPHA, PREDICTOR_CORRECTOR),
+    (SINGLE_ORDER, GRUNWALD_LETNIKOV),
+    (SINGLE_ORDER, PREDICTOR_CORRECTOR),
+])
+def test_landau_self_convergence_order(composition, scheme, alpha):
+    ends = [simulate_landau(1.0, 2.0, 1.0, alpha, 0.3 + 0.1j, 0.5 - 0.2j, 2.0, h,
+                            composition=composition, scheme=scheme).terminal()
+            for h in (2e-2, 1e-2, 5e-3, 2.5e-3)]
+    gaps = [np.abs(a - b).max() for a, b in zip(ends, ends[1:])]
+    orders = [math.log2(g0 / g1) for g0, g1 in zip(gaps, gaps[1:])]
+    least = 0.9
+    if scheme == PREDICTOR_CORRECTOR:
+        least += alpha if composition == SEQUENTIAL_ALPHA_ALPHA else 1.0
+    assert min(orders) >= least, orders
 
 
 def test_sequential_orbit_departs_from_approximate():

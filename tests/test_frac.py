@@ -16,7 +16,6 @@ from fracsymp.frac import (
     SampledFunction,
     SymbolicPower,
     _frac_integral_all,
-    _frac_integral_at,
     chain_partial,
     chain_rule_a,
     chain_rule_b,
@@ -30,6 +29,7 @@ from fracsymp.frac import (
     mrl_partial_expr,
     poisson_alpha,
     power_terms,
+    product_weights,
     split_pairs,
 )
 
@@ -41,6 +41,16 @@ def sp(text, varname="x"):
 def grid(fn, x_max, h):
     xs = h * np.arange(int(round(x_max / h)) + 1)
     return SampledFunction(xs, np.array([fn(float(x)) for x in xs]))
+
+
+def _frac_integral_at(dy: np.ndarray, mu: float, h: float, n: int) -> float:
+    # the direct-sum oracle for the grid integral: product_weights read off
+    # at one node
+    if n == 0:
+        return 0.0
+    d2, a0 = product_weights(mu, n)
+    acc = a0[n] * dy[0] + dy[n] + float(np.dot(d2[:n - 1][::-1], dy[1:n]))
+    return h**mu / gamma(mu + 2.0) * acc
 
 
 # -- gamma -------------------------------------------------------------------
@@ -69,6 +79,26 @@ def test_gamma_poles():
     for x in (0.0, -1.0, -2.0):
         with pytest.raises(PoleAtNonPositiveInteger):
             gamma(x)
+
+
+# float64's answer where math.gamma raises or Gamma leaves the float range
+@pytest.mark.parametrize("x, want", [
+    (171.0, float(math.factorial(170))),
+    (171.5, 9.483367566824801e307),
+    (171.7, math.inf),
+    (172.0, math.inf),
+    (1e6, math.inf),
+    (-200.5, -0.0),
+    (math.inf, math.inf),
+    (-math.inf, math.nan),
+    (math.nan, math.nan),
+])
+def test_gamma_float64_values(x, want):
+    got = gamma(x)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_frac_order_bounds():
@@ -142,12 +172,26 @@ def test_quadrature_accepts_order_one():
     assert abs(got - 3.0) < 1e-5
 
 
+def _stencil(g, k, last, h):
+    # the centered difference of g at node k, one-sided at the last node
+    if k < last:
+        return (g(k + 1) - g(k - 1)) / (2.0 * h)
+    return (3.0 * g(k) - 4.0 * g(k - 1) + g(k - 2)) / (2.0 * h)
+
+
 def test_quadrature_grid_matches_pointwise_interior():
-    f = grid(lambda x: x * x, 2.0, 1e-3)
-    all_nodes = mrl_derivative_grid(f, 0.5)
-    for x in (0.5, 1.0, 1.5):
-        k = int(round(x / 1e-3))
-        assert abs(all_nodes[k] - mrl_derivative_quadrature(f, 0.5, x)) < 1e-12
+    # against the stencil applied to the direct-sum integral, and at order 1
+    # to the samples themselves, bit for bit
+    h = 1e-3
+    f = grid(lambda x: x * x, 2.0, h)
+    dy = f.ys - f.ys[0]
+    last = len(f.ys) - 1
+    for x in (0.5, 1.0, 1.5, 2.0):
+        k = int(round(x / h))
+        want = _stencil(lambda n: _frac_integral_at(dy, 0.5, h, n), k, last, h)
+        assert abs(mrl_derivative_quadrature(f, 0.5, x) - want) < 1e-12, x
+        exact = _stencil(lambda n: f.ys[n], k, last, h)
+        assert mrl_derivative_quadrature(f, 1.0, x) == exact, x
 
 
 def test_grid_integral_matches_pointwise_at_every_node():
