@@ -2,11 +2,15 @@
 simulate` trajectories, byte for byte.
 
 `tests/golden/<name>.json` holds what `quantize` printed for each bundled
-model and for two models under `tests/golden/`: `dense6_symbolic.model`,
+model and for four models under `tests/golden/`: `dense6_symbolic.model`,
 a dense 6-variable symbolic-order model whose two-form has a multi-term
-Gamma(1 + alpha) determinant, and `laurent_pfaffian.model`, whose
+Gamma(1 + alpha) determinant; `dense5_symbolic.model`, its 5-variable
+kin, whose one constraint level adds the multiplier lam_1 and whose table
+is restricted to the original variables; `laurent_pfaffian.model`, whose
 (1 + c^2)^(-1) entries make `simplify` cancel a multi-term denominator by
-exact division.  Any change to a canonical form, to the constraint iteration
+exact division; and `positive_root.model`, whose positive variable q
+collapses (q^2)^(1/2) and (q^2)^(3/2) in the kinetic sector, while the
+inverse of the same entries is taken with no positive names.  Any change to a canonical form, to the constraint iteration
 or to the JSON rendering shows up here as a byte difference.
 
 `tests/golden/<name>.json` also holds what `report-hall` and
@@ -40,8 +44,10 @@ CASES = {
     "gauge_demo": (MODELS / "gauge_demo.model", 2),
     "landau_full": (MODELS / "landau_full.model", 0),
     "landau_strong": (MODELS / "landau_strong.model", 0),
+    "dense5_symbolic": (GOLDEN / "dense5_symbolic.model", 0),
     "dense6_symbolic": (GOLDEN / "dense6_symbolic.model", 0),
     "laurent_pfaffian": (GOLDEN / "laurent_pfaffian.model", 0),
+    "positive_root": (GOLDEN / "positive_root.model", 0),
 }
 
 
