@@ -9,9 +9,12 @@ equal.
 
 Each node computes its hash and its sort key (type rank, repr) once, on
 first use, and keeps them, so sorting and merging monomials does not walk
-the trees again.  Inside the polynomial dicts of `simplify` an exponent is
-a `Fraction` or a plain `int` (an atom enters with exponent 1); nodes
-always hold `Fraction`s, so trees, text and JSON are the same either way.
+the trees again.  A compound node likewise keeps its polynomial dict for
+the last `positive` set it was converted under; that dict is shared by
+every caller and must not be mutated.  Inside the polynomial dicts of
+`simplify` an exponent is a `Fraction` or a plain `int` (an atom enters
+with exponent 1); nodes always hold `Fraction`s, so trees, text and JSON
+are the same either way.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class Expr:
     children's.  Every order and every dict is the one the dataclass
     methods would give."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_poly")
 
     def __hash__(self):
         try:
@@ -333,10 +336,22 @@ def _is_positive_base(b: Expr, positive: frozenset) -> bool:
 
 
 def _to_poly(e: Expr, positive: frozenset) -> dict:
+    """The polynomial dict of e.  A compound node keeps its dict with the
+    `positive` set it was made under and returns it again for an equal set,
+    so the dict is read-only; atoms are cheaper to convert than to look up."""
     if isinstance(e, Constant):
         return {(): e.value} if e.value else {}
     if isinstance(e, (Variable, SymbolicConstant)):
         return {((e, 1),): _ONE}
+    memo = getattr(e, "_poly", None)
+    if memo is not None and memo[0] == positive:
+        return memo[1]
+    p = _compound_poly(e, positive)
+    object.__setattr__(e, "_poly", (positive, p))
+    return p
+
+
+def _compound_poly(e: Expr, positive: frozenset) -> dict:
     if isinstance(e, GammaFactor):
         arg = _rebuild(_to_poly(e.arg, positive))
         if isinstance(arg, Constant) and arg.value.denominator == 1:

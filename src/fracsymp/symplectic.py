@@ -197,15 +197,13 @@ class BracketTable:
     def scaled_entry(self, vi: str, vj: str) -> Expr:
         """Entry under the alternative normalization that carries the
         1/Gamma(1+alpha)^2 prefactor explicitly."""
-        return simplify(Product((self.prefactor, self.entry(vi, vj))))
+        return _scaled(self.prefactor, self.entry(vi, vj))
 
     def to_json_dict(self) -> dict:
         prefactor = self.prefactor
         plain = [[to_text(e) for e in row] for row in self.entries]
-        scaled = [
-            [to_text(simplify(Product((prefactor, e)))) for e in row]
-            for row in self.entries
-        ]
+        scaled = [[to_text(_scaled(prefactor, e)) for e in row]
+                  for row in self.entries]
         out = {
             "variables": list(self.variables),
             "alpha": "symbolic" if self.alpha is None else float(self.alpha),
@@ -230,6 +228,15 @@ def _gamma_power(alpha: float | None, k: int) -> Expr:
         return ONE
     arg = sym("alpha") if alpha is None else Constant(Fraction(alpha))
     return simplify(Power(GammaFactor(Sum((ONE, arg))), Fraction(k)))
+
+
+def _scaled(prefactor: Expr, e: Expr) -> Expr:
+    """The canonical form of prefactor * e, for the one-monomial prefactor
+    of `_gamma_power` and a canonical e: a monomial shift of e's dict.
+    Times a unit monomial, no multi-term denominator of e divides its
+    numerator where it did not before, so `simplify` would cancel nothing."""
+    none = frozenset()
+    return _rebuild(_poly_mul(_to_poly(prefactor, none), _to_poly(e, none)))
 
 
 def _primitive(v):
@@ -440,7 +447,7 @@ def _in_rational_span(candidate: Expr, basis) -> bool:
     """Exact linear-algebra membership test of `candidate` in the span of
     `basis` over the rationals (coordinates are canonical monomials): the
     candidate's column of [basis | candidate] gets no pivot."""
-    vecs = [_to_poly(simplify(e), ()) for e in (*basis, candidate)]
+    vecs = [_to_poly(simplify(e), frozenset()) for e in (*basis, candidate)]
     rows = [[{(): v[mo]} if mo in v else {} for v in vecs]
             for mo in {mo for v in vecs for mo in v}]
     pivots, _p, _sign = _eliminate(rows, len(vecs))

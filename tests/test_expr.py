@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 import struct
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from fracsymp.expr import (
     Power,
     Product,
     Sum,
+    SymbolicConstant,
     UnboundSymbol,
     Variable,
     ZERO,
@@ -34,8 +36,11 @@ from fracsymp.expr import (
     to_text,
     var,
 )
-from fracsymp.expr import _RANKS, _base_key
+from fracsymp import expr
+from fracsymp.expr import _RANKS, _base_key, _to_poly
 from fracsymp.frac import FracError
+from fracsymp.modelfile import parse_model_file
+from fracsymp.symplectic import fj_iterate
 
 
 def parse(text, variables=("q", "p", "x")):
@@ -371,3 +376,56 @@ def test_stored_key_and_hash_match_fresh_values(e):
     twin = _rebuilt(e)
     assert twin == e and twin is not e
     assert hash(twin) == hash(e) and _base_key(twin) == _base_key(e)
+
+
+# -- stored polynomial forms -------------------------------------------------
+
+_NO_POSITIVE, _Q_POSITIVE = frozenset(), frozenset({"q"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_polynomial_memo_matches_fresh_conversion(e):
+    """`_to_poly` through a node's stored form equals the conversion of an
+    equal twin of new nodes, while `positive` switches on the same node and
+    the children were last converted under the other set."""
+    try:
+        for c in _children(e):
+            _to_poly(c, _Q_POSITIVE)
+        for positive in (_NO_POSITIVE, _Q_POSITIVE, _NO_POSITIVE, _Q_POSITIVE):
+            got = _to_poly(e, positive)
+            assert got == _to_poly(_rebuilt(e), positive)
+            if not isinstance(e, (Constant, Variable, SymbolicConstant)):
+                assert e._poly == (positive, got)
+    except ZeroDivisionError:  # zero under a negative power
+        assume(False)
+
+
+_TESTS = pathlib.Path(__file__).parent
+_QUANTIZED = sorted((_TESTS.parent / "src" / "fracsymp" / "models").glob("*.model")) + \
+    sorted((_TESTS / "golden").glob("*.model"))
+
+
+def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
+    """After the quantize pipeline (iteration and JSON table) on every
+    bundled and golden model, the form stored on every node converted on the
+    way, the table entries and the inverse's shared determinant among them,
+    equals its recomputation from an equal twin, so no caller edited a
+    shared dict."""
+    converted = []
+
+    def recording(e, positive, convert=expr._compound_poly):
+        converted.append(e)
+        return convert(e, positive)
+
+    monkeypatch.setattr(expr, "_compound_poly", recording)
+    for path in _QUANTIZED:
+        doc = parse_model_file(path)
+        _, table = fj_iterate(doc.model, gauge_conditions=doc.gauge_conditions)
+        if table is not None:
+            table.to_json_dict()
+    monkeypatch.undo()
+    assert len(converted) > 1000
+    for n in converted:
+        positive, poly = n._poly
+        assert poly == _to_poly(_rebuilt(n), positive), n

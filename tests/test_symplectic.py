@@ -47,7 +47,9 @@ from fracsymp.symplectic import (
     CONVENTION,
     SymplecticForm,
     _eliminate,
+    _gamma_power,
     _in_rational_span,
+    _scaled,
     assemble_form,
     brackets_to_commutators,
     coarse_dirac_bracket,
@@ -830,3 +832,32 @@ def test_commutator_table():
     plain = table.to_json_dict()
     assert {k: v for k, v in d.items() if k != "commutators"} == \
         {k: v for k, v in plain.items() if k != "commutators"}
+
+
+_G = GammaFactor(Sum((ONE, SymbolicConstant("alpha"))))
+_ENTRY_LEAVES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 4)]).map(Constant),
+    st.sampled_from([var("q"), var("p"), SymbolicConstant("e"), _G]))
+
+
+def _entry_compound(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.lists(children, min_size=1, max_size=3).map(lambda fs: Product(tuple(fs))),
+        st.builds(Power, children, st.sampled_from(
+            [Fraction(k) for k in (2, -1, -2)] + [Fraction(1, 2), Fraction(-1, 2)])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_ENTRY_LEAVES, _entry_compound, max_leaves=10))
+def test_scaled_entry_is_the_simplified_product(tree):
+    """For a canonical entry e, the section 5.2 monomial shift equals
+    simplify(prefactor * e), for the symbolic prefactor Gamma(1 + alpha)^(-2),
+    the numeric Gamma(3/2)^(-2) and the 1 of alpha = 1."""
+    try:
+        e = simplify(tree)
+    except ZeroDivisionError:  # zero under a negative power
+        assume(False)
+    for alpha in (None, 0.5, 1.0):
+        prefactor = _gamma_power(alpha, -2)
+        assert _scaled(prefactor, e) == simplify(Product((prefactor, e)))
