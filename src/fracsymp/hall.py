@@ -15,6 +15,7 @@ coordinates alone whose quantization makes the coordinates noncommutative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .expr import EULER_GAMMA, evaluate, parse_expression
@@ -64,6 +65,11 @@ class HallScenario:
     regime: str
 
     def __post_init__(self):
+        for name in ("e", "B", "m", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise HallError("%s must be finite" % name)
+        if self.e == 0:
+            raise HallError("e must be nonzero")
         if self.B == 0:
             raise HallError("B must be nonzero")
         if self.hbar <= 0:
@@ -259,13 +265,22 @@ def noncommutativity_report(s: HallScenario) -> dict:
                           % SHIFT_LIMIT)
     table = quantize_strong_field(replace(s, alpha=None))
     binding = {"e": float(s.e), "B": float(s.B), "alpha": float(s.alpha)}
-    plain = evaluate(table.entry("r1", "r2"), binding)
-    scaled = evaluate(table.scaled_entry("r1", "r2"), binding)
-    theta_classical = s.hbar / (s.e * s.B)
     alpha = float(s.alpha)
+    try:
+        plain = evaluate(table.entry("r1", "r2"), binding)
+        scaled = evaluate(table.scaled_entry("r1", "r2"), binding)
+        theta_classical = s.hbar / (s.e * s.B)
+        theta_fractional = theta_classical * (1.0 + alpha * EULER_GAMMA)
+        finite = all(map(math.isfinite,
+                         (plain, scaled, theta_classical, theta_fractional)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise HallError("the report leaves the float range at e = %r, B = %r, "
+                        "hbar = %r" % (s.e, s.B, s.hbar))
     return {
         "theta_classical": theta_classical,
-        "theta_fractional": theta_classical * (1.0 + alpha * EULER_GAMMA),
+        "theta_fractional": theta_fractional,
         "alpha": alpha,
         "relative_correction": alpha * EULER_GAMMA,
         "bracket_normalizations": {

@@ -281,6 +281,20 @@ def test_report_hall_custom_field(capsys):
     assert json.loads(out)["theta_classical"] == 0.125
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--e", "0"), "e must be nonzero"),
+    (("--e", "1e-320"), "leaves the float range"),
+    (("--e", "1e-200", "--B", "1e-200"), "leaves the float range"),
+    (("--B", "nan"), "B must be finite"),
+    (("--hbar", "nan"), "hbar must be finite"),
+    (("--e", "inf"), "e must be finite"),
+])
+def test_report_hall_rejects_inputs_outside_the_float_range(capsys, argv, message):
+    code, out, err = run(capsys, "report-hall", "--alpha", "0.0005", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("fracsymp: error: ") and message in err
+
+
 # -- top level ---------------------------------------------------------------
 
 def test_no_subcommand_exits_one(capsys):
