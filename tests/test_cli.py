@@ -295,6 +295,66 @@ def test_report_hall_rejects_inputs_outside_the_float_range(capsys, argv, messag
     assert err.startswith("fracsymp: error: ") and message in err
 
 
+# -- error lines -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, log", [
+    (("quantize", model("canonical_pair")), "status: regular\n"),
+    (("simulate", "--landau", "1", "1", "1", "--alpha", "0.5",
+      "--T", "1", "--h", "0.1"), ""),
+    (("estimate-alpha", "--delta", "1e-8", "--regime", "small"), ""),
+    (("report-hall", "--alpha", "1e-4"), ""),
+], ids=["quantize", "simulate", "estimate-alpha", "report-hall"])
+def test_out_in_a_missing_directory_is_reported(capsys, tmp_path, argv, log):
+    target = str(tmp_path / "absent" / "result")
+    code, out, err = run(capsys, *argv, "--out", target)
+    assert (code, out) == (1, "")
+    assert err == (log + "fracsymp: error: [Errno 2] No such file or "
+                   "directory: %r\n" % target)
+
+
+_ORBIT = ("simulate", "--landau", "1", "1", "1", "--T", "1", "--h", "0.1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_ORBIT, "--alpha is required with --landau"),
+    (_ORBIT + ("--alpha", "0.5", "--z0", "1"), "--z0 must be 'x,y', got '1'"),
+    (("simulate", model("landau_strong"), "--T", "1", "--h", "0.1",
+      "--initial", "0,0"),
+     "a numeric order is required to integrate; set alpha in the file or "
+     "pass --alpha"),
+], ids=["landau-without-alpha", "one-number-z0", "symbolic-model-order"])
+def test_simulate_parameter_errors_are_one_line(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "run.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out, err) == (1, "", "fracsymp: error: %s\n" % message)
+    assert not out_path.exists()
+
+
+def test_measure_frequency_of_a_short_run_fails_after_writing(capsys, tmp_path):
+    out_path = tmp_path / "short.csv"
+    code, out, err = run(capsys, *_ORBIT, "--alpha", "0.5",
+                         "--measure-frequency", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == ("fracsymp: error: phase sweep 3.485 rad covers fewer "
+                   "than 3 turns\n")
+    assert out_path.exists() and (tmp_path / "short.csv.json").exists()
+
+
+def test_simulate_verbose_names_what_it_wrote(capsys, tmp_path):
+    out_path = str(tmp_path / "v.csv")
+    code, out, err = run(capsys, *_ORBIT, "--alpha", "0.5", "--verbose",
+                         "--out", out_path)
+    assert (code, out) == (0, "")
+    assert err == "wrote %s and %s.json (11 samples)\n" % (out_path, out_path)
+
+
+def test_estimate_near_one_below_rounding(capsys):
+    code, out, err = run(capsys, "estimate-alpha", "--delta", "1e-17",
+                         "--regime", "near-one")
+    assert (code, err) == (0, "")
+    assert '"alpha_estimate": 1,' in out
+
+
 # -- top level ---------------------------------------------------------------
 
 def test_no_subcommand_exits_one(capsys):

@@ -164,6 +164,12 @@ def test_near_one_zero_shift():
     assert estimate_alpha_near_one(0.0).alpha_estimate == 1.0
 
 
+def test_near_one_shift_below_rounding_gives_the_classical_order():
+    # 1 / (1 + 1e-17) rounds to 1 = Gamma(2), so the bracket's upper end
+    # is the root itself.
+    assert estimate_alpha_near_one(1e-17).alpha_estimate == 1.0
+
+
 def test_near_one_out_of_regime():
     with pytest.raises(OutOfRegime):
         estimate_alpha_near_one(1e-2)
