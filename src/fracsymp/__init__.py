@@ -9,6 +9,7 @@ problem integrators, and the planar charged-particle worked example.
 from .expr import (
     Constant,
     Expr,
+    FracsympError,
     GammaFactor,
     ParseError,
     Power,
@@ -51,10 +52,10 @@ from .frac import (
 )
 
 __all__ = [
-    "Constant", "Expr", "GammaFactor", "ParseError", "Power", "Product",
-    "Sum", "SymbolicConstant", "Variable", "const", "diff", "evaluate",
-    "free_names", "gamma_of", "parse_expression", "simplify", "substitute",
-    "sym", "to_text", "var",
+    "Constant", "Expr", "FracsympError", "GammaFactor", "ParseError", "Power",
+    "Product", "Sum", "SymbolicConstant", "Variable", "const", "diff",
+    "evaluate", "free_names", "gamma_of", "parse_expression", "simplify",
+    "substitute", "sym", "to_text", "var",
     "FracOrder", "InsufficientGrid", "NegativeBase", "OutsideFragment",
     "PoleAtNonPositiveInteger", "SampledFunction", "SymbolicPower",
     "chain_partial", "chain_partial_expr", "chain_rule_a", "chain_rule_b",

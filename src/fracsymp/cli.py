@@ -2,6 +2,8 @@
 
 Exit codes: 0 success (quantize: a Regular terminal), 1 parse, IO, or
 parameter errors, 2 a GaugeTheory terminal, 3 an Inconsistent terminal.
+Every error on bad input (a FracsympError, OSError or ValueError) is
+caught once, in `main`, and printed as one `fracsymp: error: ...` line.
 JSON results go to --out when given, otherwise to standard output; logs
 and diagnostics go to standard error, so piped output stays machine
 readable.  All JSON is rendered deterministically: fixed key order and
@@ -15,8 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import dynamics, hall, modelfile, symplectic
-from .expr import ExprError, to_text
-from .frac import FracError
+from .expr import FracsympError, to_text
 from .serialize import render_json
 
 _EXIT_BY_STATUS = {
@@ -100,40 +101,22 @@ def _emit(text: str, out_path):
             fh.write(text + "\n")
 
 
-def _fail(message: str) -> int:
-    sys.stderr.write("fracsymp: error: %s\n" % message)
-    return 1
-
-
 def _load_model(args):
     """The parsed model file and its model, with the order --alpha gives
     (a number, or 'symbolic') in place of the file's."""
     doc = modelfile.parse_model_file(args.model)
     if args.alpha is None:
         return doc, doc.model
-    alpha = None
-    if args.alpha != "symbolic":
-        try:
-            alpha = float(args.alpha)
-        except ValueError:
-            raise modelfile.ModelFileError(
-                "--alpha must be a number or 'symbolic', got %r" % args.alpha)
+    alpha = modelfile.parse_order(args.alpha, "--alpha")
     return doc, replace(doc.model, alpha=alpha)
 
 
 def cmd_quantize(args) -> int:
-    try:
-        doc, model = _load_model(args)
-    except (OSError, modelfile.ModelFileError, symplectic.ModelError,
-            ValueError) as exc:
-        return _fail(str(exc))
+    doc, model = _load_model(args)
     if args.verbose:
         sys.stderr.write(modelfile.render_model(model, doc.gauge_conditions))
-    try:
-        chain, table = symplectic.fj_iterate(
-            model, gauge_conditions=doc.gauge_conditions)
-    except symplectic.SymplecticError as exc:
-        return _fail(str(exc))
+    chain, table = symplectic.fj_iterate(
+        model, gauge_conditions=doc.gauge_conditions)
     log = ["status: %s" % chain.status]
     for i, level in enumerate(chain.levels, 1):
         cons = ", ".join(to_text(c) for c in level.constraints)
@@ -155,10 +138,7 @@ def cmd_quantize(args) -> int:
         "notes": list(chain.notes),
         "table": None if table is None else table.to_json_dict(),
     }
-    try:
-        _emit(render_json(payload), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    _emit(render_json(payload), args.out)
     return _EXIT_BY_STATUS[chain.status]
 
 
@@ -201,28 +181,17 @@ def _model_trajectory(args):
 
 def cmd_simulate(args) -> int:
     if (args.landau is None) == (args.model is None):
-        return _fail("exactly one of a model path or --landau is required")
-    try:
-        if args.landau is not None:
-            traj = _landau_trajectory(args)
-        else:
-            traj = _model_trajectory(args)
-    except (OSError, ValueError, modelfile.ModelFileError,
-            symplectic.SymplecticError, dynamics.DynamicsError,
-            ExprError, FracError) as exc:
-        return _fail(str(exc))
-    try:
-        sidecar = traj.to_csv(args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+        raise ValueError("exactly one of a model path or --landau is required")
+    if args.landau is not None:
+        traj = _landau_trajectory(args)
+    else:
+        traj = _model_trajectory(args)
+    sidecar = traj.to_csv(args.out)
     if args.verbose:
         sys.stderr.write("wrote %s and %s (%d samples)\n"
                          % (args.out, sidecar, len(traj.times)))
     if args.measure_frequency:
-        try:
-            freq = dynamics.measure_frequency(traj)
-        except dynamics.InsufficientPeriods as exc:
-            return _fail(str(exc))
+        freq = dynamics.measure_frequency(traj)
         sys.stdout.write("measured_frequency %.17g\n" % freq)
     return 0
 
@@ -230,28 +199,14 @@ def cmd_simulate(args) -> int:
 def cmd_estimate_alpha(args) -> int:
     fn = (hall.estimate_alpha_small if args.regime == "small"
           else hall.estimate_alpha_near_one)
-    try:
-        est = fn(args.delta)
-    except hall.HallError as exc:
-        return _fail(str(exc))
-    try:
-        _emit(render_json(est.to_json_dict()), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    _emit(render_json(fn(args.delta).to_json_dict()), args.out)
     return 0
 
 
 def cmd_report_hall(args) -> int:
-    try:
-        scenario = hall.HallScenario(args.e, args.B, 0.0, args.hbar,
-                                     args.alpha, hall.STRONG_FIELD)
-        report = hall.noncommutativity_report(scenario)
-    except hall.HallError as exc:
-        return _fail(str(exc))
-    try:
-        _emit(render_json(report), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    scenario = hall.HallScenario(args.e, args.B, 0.0, args.hbar,
+                                 args.alpha, hall.STRONG_FIELD)
+    _emit(render_json(hall.noncommutativity_report(scenario)), args.out)
     return 0
 
 
@@ -265,7 +220,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (FracsympError, OSError, ValueError) as exc:
+        sys.stderr.write("fracsymp: error: %s\n" % exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -51,7 +51,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import _define, _emit_values, compile_expr, parse_expression, to_text
+from .expr import (FracsympError, _define, _emit_values, compile_expr,
+                   parse_expression, to_text)
 from .frac import FracOrder, gamma, lag_sums, product_weights
 from .serialize import render_json
 
@@ -69,7 +70,7 @@ COMPOSITIONS = (SINGLE_ORDER, SEQUENTIAL_ALPHA_ALPHA)
 MEMORY_BUDGET = 150_000
 
 
-class DynamicsError(Exception):
+class DynamicsError(FracsympError):
     pass
 
 

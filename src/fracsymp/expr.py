@@ -31,8 +31,17 @@ EULER_GAMMA = 0.5772156649015329
 RESERVED_EULER = "gamma_ec"
 
 
-class ExprError(Exception):
+class FracsympError(Exception):
+    """Root of every error the package raises on bad input; the command
+    line reports any of them as one error line and exit code 1."""
+
+
+class ExprError(FracsympError):
     pass
+
+
+class ZeroToNegativePower(ExprError, ZeroDivisionError):
+    """An expression that raises zero to a negative power."""
 
 
 class NonDifferentiable(ExprError):
@@ -386,7 +395,7 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
     if not p:
         if r > 0:
             return {}
-        raise ZeroDivisionError("zero raised to a negative power")
+        raise ZeroToNegativePower("zero raised to a negative power")
     if len(p) == 1 and r.denominator == 1:
         (mono, c), = p.items()
         inv_mono = _sorted_mono([(b, -e) for b, e in mono])

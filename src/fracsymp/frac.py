@@ -19,7 +19,9 @@ from .expr import (
     GAMMA_EXACT_MAX,
     Constant,
     Expr,
+    FracsympError,
     GammaFactor,
+    NonDifferentiable,
     Power,
     Product,
     Sum,
@@ -29,11 +31,14 @@ from .expr import (
     free_names,
     simplify,
 )
-from .expr import NonDifferentiable
 
 
-class FracError(Exception):
+class FracError(FracsympError):
     pass
+
+
+class InvalidOrder(FracError, ValueError):
+    """A derivative order outside (0, 1]."""
 
 
 class PoleAtNonPositiveInteger(FracError):
@@ -89,7 +94,7 @@ class FracOrder:
     def __post_init__(self):
         v = float(self.value)
         if not 0.0 < v <= 1.0:
-            raise ValueError(f"order must lie in (0, 1], got {v}")
+            raise InvalidOrder(f"order must lie in (0, 1], got {v}")
         object.__setattr__(self, "value", v)
 
 

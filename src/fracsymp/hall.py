@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .expr import EULER_GAMMA, evaluate, parse_expression
+from .expr import EULER_GAMMA, FracsympError, evaluate, parse_expression
 from .frac import gamma
 from .symplectic import BracketTable, Model, fj_iterate
 
@@ -35,16 +35,12 @@ SHIFT_LIMIT = 1e-3
 EULER_GAMMA_ROUNDED = 0.57721
 
 
-class HallError(Exception):
+class HallError(FracsympError):
     pass
 
 
 class OutOfRegime(HallError):
     """Input shift or order outside the regime an estimator is valid in."""
-
-
-class NoRootInBracket(HallError):
-    """The bisection bracket does not straddle a root."""
 
 
 @dataclass(frozen=True)
@@ -221,15 +217,12 @@ def estimate_alpha_near_one(delta: float) -> FractionalityEstimate:
     def g(a: float) -> float:
         return gamma(1.0 + a) - target
 
+    # g rises on [0.99, 1] from below -0.003, for every delta in the
+    # regime, to g(1) = 1 - target >= 0, which is 0 where 1 / (1 + delta)
+    # rounds to 1.
     lo, hi = 0.99, 1.0
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        root = lo
-    elif ghi == 0.0:
+    if g(hi) == 0.0:
         root = hi
-    elif glo * ghi > 0.0:
-        raise NoRootInBracket(
-            "Gamma(1 + alpha) never reaches %.17g on (0.99, 1)" % target)
     else:
         while hi - lo > 1e-14:
             mid = 0.5 * (lo + hi)
@@ -237,10 +230,10 @@ def estimate_alpha_near_one(delta: float) -> FractionalityEstimate:
             if gm == 0.0:
                 lo = hi = mid
                 break
-            if glo * gm < 0.0:
+            if gm > 0.0:
                 hi = mid
             else:
-                lo, glo = mid, gm
+                lo = mid
         root = 0.5 * (lo + hi)
     note = ("bisection on Gamma(1 + alpha) = 1 / (1 + delta) over (0.99, 1) "
             "to 1e-14; first-order root 1 - delta / (1 - gamma_ec)")

@@ -19,10 +19,11 @@ canonical rendering of a parsed document reparses to the same document.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-from .expr import ParseError, parse_expression, simplify, to_text
+from .expr import ExprError, FracsympError, parse_expression, simplify, to_text
 from .symplectic import Model, ModelError
 
 _LINE_RE = re.compile(
@@ -33,7 +34,7 @@ _SCALAR_KEYS = ("variables", "alpha", "constants", "potential")
 _KNOWN_KEYS = _SCALAR_KEYS + ("kinetic", "constraints_gauge")
 
 
-class ModelFileError(Exception):
+class ModelFileError(FracsympError):
     """A model document that does not parse to exactly one Model."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -41,6 +42,17 @@ class ModelFileError(Exception):
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
+
+
+def parse_order(text: str, label: str = "alpha", line: int | None = None):
+    """The order `text` names: None for 'symbolic', otherwise its float."""
+    if text == "symbolic":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise ModelFileError("%s must be a number or 'symbolic', got %r"
+                             % (label, text), line)
 
 
 @dataclass(frozen=True)
@@ -104,14 +116,7 @@ def parse_model_text(text: str) -> ModelDocument:
         variables.append(token)
 
     lineno, value = seen["alpha"]
-    if value == "symbolic":
-        alpha = None
-    else:
-        try:
-            alpha = float(value)
-        except ValueError:
-            raise ModelFileError("alpha must be a number or 'symbolic', got %r"
-                                 % value, lineno)
+    alpha = parse_order(value, line=lineno)
 
     constants: dict = {}
     if "constants" in seen:
@@ -132,6 +137,9 @@ def parse_model_text(text: str) -> ModelDocument:
                 except ValueError:
                     raise ModelFileError("bad numeric value for %r" % name,
                                          lineno)
+                if not math.isfinite(constants[name]):
+                    raise ModelFileError("value for %r is not finite" % name,
+                                         lineno)
 
     allowed = set(variables) | set(constants) | {"alpha"}
 
@@ -142,7 +150,7 @@ def parse_model_text(text: str) -> ModelDocument:
             return simplify(parse_expression(text_, variables=variables,
                                              allowed=allowed),
                             positive=tuple(positive))
-        except ParseError as exc:
+        except ExprError as exc:
             raise ModelFileError(str(exc), lineno)
 
     for name in kinetic_lines:

@@ -20,6 +20,7 @@ from typing import Mapping
 from .expr import (
     Constant,
     Expr,
+    FracsympError,
     GammaFactor,
     ONE,
     Power,
@@ -51,7 +52,7 @@ INCONSISTENT = "inconsistent"
 CONVENTION = "f_ij = d a_j / d eta_i - d a_i / d eta_j"
 
 
-class SymplecticError(Exception):
+class SymplecticError(FracsympError):
     pass
 
 

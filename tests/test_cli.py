@@ -355,6 +355,46 @@ def test_estimate_near_one_below_rounding(capsys):
     assert '"alpha_estimate": 1,' in out
 
 
+def test_quantize_reports_a_gamma_factor_of_a_variable(capsys, tmp_path):
+    path = tmp_path / "gamma_q.model"
+    path.write_text("variables: q, p\nalpha: 1\nkinetic q: p\n"
+                    "kinetic p: Gamma(q)\npotential: 1/2*(q^2 + p^2)\n")
+    assert run(capsys, "quantize", str(path)) == (
+        1, "", "fracsymp: error: gamma factor depends on 'q'; it is kept "
+               "opaque\n")
+
+
+@pytest.mark.parametrize("command", ["quantize", "simulate"])
+@pytest.mark.parametrize("potential", ["0^(-1)*q", "(q - q)^(-1)"])
+def test_zero_to_a_negative_power_is_reported_with_its_line(
+        capsys, tmp_path, command, potential):
+    path = tmp_path / "pole.model"
+    path.write_text("variables: q, p\nalpha: 1\nkinetic q: p\n"
+                    "kinetic p: 0\npotential: %s\n" % potential)
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--T", "1", "--h", "0.1", "--initial", "1,0",
+                 "--out", str(tmp_path / "run.csv")]
+    assert run(capsys, *argv) == (
+        1, "", "fracsymp: error: line 5: zero raised to a negative power\n")
+
+
+def test_every_input_error_has_one_root():
+    from fracsymp import FracsympError
+    from fracsymp.dynamics import DynamicsError
+    from fracsymp.expr import ExprError, ZeroToNegativePower
+    from fracsymp.frac import FracError, InvalidOrder
+    from fracsymp.hall import HallError
+    from fracsymp.modelfile import ModelFileError
+    from fracsymp.symplectic import SymplecticError
+
+    for cls in (ExprError, FracError, SymplecticError, DynamicsError,
+                HallError, ModelFileError, ZeroToNegativePower, InvalidOrder):
+        assert issubclass(cls, FracsympError)
+    assert issubclass(ZeroToNegativePower, ZeroDivisionError)
+    assert issubclass(InvalidOrder, ValueError)
+
+
 # -- top level ---------------------------------------------------------------
 
 def test_no_subcommand_exits_one(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fracsymp.expr import (
     EULER_GAMMA,
     Constant,
+    ExprError,
     GammaFactor,
     ONE,
     NonDifferentiable,
@@ -25,6 +26,7 @@ from fracsymp.expr import (
     UnboundSymbol,
     Variable,
     ZERO,
+    ZeroToNegativePower,
     compile_expr,
     diff,
     evaluate,
@@ -262,6 +264,14 @@ def test_parse_errors_have_positions():
     except ParseError as exc:
         err = exc
     assert err is not None and "bad" in str(err)
+
+
+@pytest.mark.parametrize("text", ["0^(-1)*q", "(q - q)^(-1)"])
+def test_zero_to_a_negative_power_is_a_typed_zero_division(text):
+    with pytest.raises(ZeroToNegativePower) as err:
+        simplify(parse(text))
+    assert isinstance(err.value, ZeroDivisionError)
+    assert isinstance(err.value, ExprError)
 
 
 def test_power_simplification():

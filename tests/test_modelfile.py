@@ -56,6 +56,18 @@ def test_constants_and_gauge_conditions():
     assert len(doc.gauge_conditions) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_constant_rejected_with_line(value):
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(MINIMAL + "constants: c = %s\n" % value)
+    assert str(err.value) == "line 6: value for 'c' is not finite"
+
+
+def test_constant_below_the_float_range_reads_as_zero():
+    doc = parse_model_text(MINIMAL + "constants: c = 1e-400\n")
+    assert doc.model.constants == {"c": 0.0}
+
+
 def test_unknown_key_rejected_with_line():
     with pytest.raises(ModelFileError) as err:
         parse_model_text(MINIMAL + "flavor: strange\n")
@@ -84,6 +96,14 @@ def test_expression_error_carries_line():
     with pytest.raises(ModelFileError) as err:
         parse_model_text(bad)
     assert "line 5" in str(err.value)
+
+
+@pytest.mark.parametrize("potential", ["0^(-1)*q", "(q - q)^(-1)"])
+def test_zero_to_a_negative_power_carries_line(potential):
+    bad = MINIMAL.replace("potential: 1/2*(q^2 + p^2)", "potential: " + potential)
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(bad)
+    assert str(err.value) == "line 5: zero raised to a negative power"
 
 
 def test_undeclared_name_rejected():
