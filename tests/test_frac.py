@@ -8,7 +8,6 @@ import pytest
 
 from fracsymp.expr import evaluate, parse_expression, simplify, to_text
 from fracsymp.frac import (
-    FracError,
     FracOrder,
     InsufficientGrid,
     InvalidOrder,
@@ -107,15 +106,8 @@ def test_frac_order_bounds():
     FracOrder(1.0)
     FracOrder(1e-9)
     for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidOrder):
             FracOrder(bad)
-
-
-def test_bad_order_is_a_typed_value_error():
-    with pytest.raises(InvalidOrder) as err:
-        FracOrder(2.0)
-    assert isinstance(err.value, ValueError) and isinstance(err.value, FracError)
-    assert str(err.value) == "order must lie in (0, 1], got 2.0"
 
 
 # -- power fragment ----------------------------------------------------------

@@ -98,14 +98,6 @@ def test_expression_error_carries_line():
     assert "line 5" in str(err.value)
 
 
-@pytest.mark.parametrize("potential", ["0^(-1)*q", "(q - q)^(-1)"])
-def test_zero_to_a_negative_power_carries_line(potential):
-    bad = MINIMAL.replace("potential: 1/2*(q^2 + p^2)", "potential: " + potential)
-    with pytest.raises(ModelFileError) as err:
-        parse_model_text(bad)
-    assert str(err.value) == "line 5: zero raised to a negative power"
-
-
 def test_undeclared_name_rejected():
     bad = MINIMAL.replace("potential: 1/2*(q^2 + p^2)", "potential: w^2")
     with pytest.raises(ModelFileError):
