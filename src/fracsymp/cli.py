@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative frequency shift")
     e.add_argument("--regime", choices=["small", "near-one"], required=True)
     e.add_argument("--out", default=None)
-    e.add_argument("--verbose", action="store_true")
 
     r = sub.add_parser("report-hall",
                        help="noncommutativity report for the strong-field "
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--B", type=float, default=1.0)
     r.add_argument("--hbar", type=float, default=1.0)
     r.add_argument("--out", default=None)
-    r.add_argument("--verbose", action="store_true")
     return p
 
 

@@ -44,6 +44,10 @@ class ZeroToNegativePower(ExprError, ZeroDivisionError):
     """An expression that raises zero to a negative power."""
 
 
+class NegativeBaseRoot(ExprError, ValueError):
+    """A negative base under a fractional exponent."""
+
+
 class NonDifferentiable(ExprError):
     """Raised when a derivative would have to differentiate through an
     opaque gamma factor."""
@@ -317,11 +321,13 @@ def _int_root(n: int, k: int):
     # exact k-th root of a nonnegative integer, or None
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    if k == 2:
+        r = math.isqrt(n)
+    else:  # integer Newton falls from above the root to its floor
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+    return r if r ** k == n else None
 
 
 def _rational_root(c: Fraction, r: Fraction):
@@ -683,10 +689,10 @@ def evaluate(e: Expr, binding: Binding | None = None) -> float:
             base = ev(n.base)
             r = n.exponent
             if base < 0 and r.denominator != 1:
-                raise ValueError(
+                raise NegativeBaseRoot(
                     f"negative base {base!r} under fractional exponent {r}")
             if base == 0 and r < 0:
-                raise ZeroDivisionError("zero base under negative exponent")
+                raise ZeroToNegativePower("zero base under negative exponent")
             return base ** float(r)
         if isinstance(n, GammaFactor):
             from .frac import gamma
@@ -713,15 +719,19 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
     Sums are emitted as (0 + a + ...) and products as (1.0 * a * ...), the
     starting values and order of evaluate(), so F agrees with evaluate bit
     for bit, signed zeros included.  The arithmetic is that of y's
-    elements: Python float ** raises OverflowError or ZeroDivisionError and
-    turns complex for a negative state-dependent base under a fractional
-    exponent, where numpy float64 elements give inf or nan.
+    elements: Python float ** raises OverflowError or ZeroToNegativePower
+    and turns complex for a negative state-dependent base under a
+    fractional exponent, where numpy float64 elements give inf or nan.
     """
     order = tuple(order)
     values = "".join(v + ", " for v in _emit_values(exprs, order, binding))
     slots = ", ".join("y%d" % i for i in range(len(order)))
     unpack = "    %s, = y\n" % slots if order else ""
-    return _define("def F(y):\n%s    return (%s)\n" % (unpack, values), "F")
+    # ** is the only operation in F that divides
+    source = ("def F(y):\n%s    try:\n        return (%s)\n"
+              "    except ZeroDivisionError:\n        raise _Zero("
+              "'zero base under negative exponent') from None\n")
+    return _define(source % (unpack, values), "F", _Zero=ZeroToNegativePower)
 
 
 def _emit_values(exprs: Iterable[Expr], order: Iterable[str],

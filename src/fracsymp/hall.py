@@ -1,10 +1,11 @@
 """Planar charged particle in a uniform magnetic field, as a reusable scenario.
 
-Bundles the pieces the other modules provide into one worked example: build
-the particle's first-order model, quantize the strong-field limit, rescale
-the cyclotron frequency by the coarse-graining factor, invert small
-frequency shifts into estimates of the fractional order, and emit a report
-comparing the resulting coordinate commutator with its classical value.
+Bundles the pieces the other modules provide into one worked example: read
+the particle's first-order model from the bundled model documents, quantize
+the strong-field limit, rescale the cyclotron frequency by the
+coarse-graining factor, invert small frequency shifts into estimates of the
+fractional order, and emit a report comparing the resulting coordinate
+commutator with its classical value.
 
 Two regimes are supported.  The full-dynamics regime keeps the mass term
 and doubles the variables with a velocity pair, feeding the dynamics
@@ -16,10 +17,12 @@ coordinates alone whose quantization makes the coordinates noncommutative.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 
-from .expr import EULER_GAMMA, FracsympError, evaluate, parse_expression
+from .expr import EULER_GAMMA, FracsympError, evaluate
 from .frac import gamma
+from .modelfile import parse_model_file
 from .symplectic import BracketTable, Model, fj_iterate
 
 STRONG_FIELD = "strong-field-massless-limit"
@@ -34,6 +37,8 @@ SHIFT_LIMIT = 1e-3
 
 EULER_GAMMA_ROUNDED = 0.57721
 
+_MODELS = os.path.join(os.path.dirname(__file__), "models")
+
 
 class HallError(FracsympError):
     pass
@@ -41,6 +46,15 @@ class HallError(FracsympError):
 
 class OutOfRegime(HallError):
     """Input shift or order outside the regime an estimator is valid in."""
+
+
+def _unit_order(alpha, hint: str = "") -> float:
+    """alpha as a float in [0, 1]; otherwise HallError, its message ending
+    in `hint`."""
+    a = float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise HallError("alpha must be in [0, 1]" + hint)
+    return a
 
 
 @dataclass(frozen=True)
@@ -77,9 +91,7 @@ class HallScenario:
         if self.m < 0:
             raise HallError("m must be nonnegative")
         if self.alpha is not None:
-            a = float(self.alpha)
-            if not 0.0 <= a <= 1.0:
-                raise HallError("alpha must be in [0, 1] or None for symbolic")
+            _unit_order(self.alpha, " or None for symbolic")
 
     @property
     def omega(self) -> float:
@@ -102,35 +114,18 @@ class FractionalityEstimate:
 
 
 def build_landau_model(s: HallScenario) -> Model:
-    """First-order Model for the scenario's regime.
-
-    Strong field: two coordinates whose kinetic coefficients carry the
-    coarse-graining factor, a = (eB Gamma(1+alpha)/2) (r2, -r1), and no
-    potential.  Full dynamics: coordinates plus a velocity pair, with the
-    symmetric-gauge coupling in the kinetic row and the kinetic energy as
-    the potential.
-    """
+    """First-order Model for the scenario's regime: the bundled document
+    (`landau_strong.model` or `landau_full.model`) with the scenario's
+    order and its e and B, plus m for full dynamics."""
     if s.alpha is not None and s.alpha == 0.0:
         raise HallError("no model at order zero; use a positive alpha")
-    if s.regime == STRONG_FIELD:
-        names = ("r1", "r2")
-        consts = {"e": float(s.e), "B": float(s.B)}
-        allowed = set(names) | set(consts) | {"alpha"}
-        kin = tuple(parse_expression(t, variables=names, allowed=allowed)
-                    for t in ("1/2*e*B*Gamma(1+alpha)*r2",
-                              "-1/2*e*B*Gamma(1+alpha)*r1"))
-        pot = parse_expression("0", variables=names, allowed=allowed)
-        return Model(names, kin, pot, s.alpha, consts, ())
-    names = ("r1", "r2", "v1", "v2")
-    consts = {"e": float(s.e), "B": float(s.B), "m": float(s.m)}
-    allowed = set(names) | set(consts) | {"alpha"}
-    kin = tuple(parse_expression(t, variables=names, allowed=allowed)
-                for t in ("m*v1 + 1/2*e*B*r2",
-                          "m*v2 - 1/2*e*B*r1",
-                          "0", "0"))
-    pot = parse_expression("1/2*m*(v1^2 + v2^2)", variables=names,
-                           allowed=allowed)
-    return Model(names, kin, pot, s.alpha, consts, ())
+    name = "landau_strong.model"
+    constants = {"e": float(s.e), "B": float(s.B)}
+    if s.regime == FULL_DYNAMICS:
+        name = "landau_full.model"
+        constants["m"] = float(s.m)
+    doc = parse_model_file(os.path.join(_MODELS, name))
+    return replace(doc.model, alpha=s.alpha, constants=constants)
 
 
 def quantize_strong_field(s: HallScenario) -> BracketTable:
@@ -161,10 +156,7 @@ def strong_field_bracket_first_order(e: float, B: float, alpha: float) -> float:
 
 def cyclotron_correction(omega: float, alpha: float) -> float:
     """Exact rescaled cyclotron frequency omega / Gamma(1 + alpha)."""
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise HallError("alpha must be in [0, 1]")
-    return omega / gamma(1.0 + a)
+    return omega / gamma(1.0 + _unit_order(alpha))
 
 
 def cyclotron_correction_first_order(omega: float, alpha: float) -> float:
@@ -172,10 +164,7 @@ def cyclotron_correction_first_order(omega: float, alpha: float) -> float:
 
     Exposed for comparison; cyclotron_correction returns the exact value.
     """
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise HallError("alpha must be in [0, 1]")
-    return omega * (1.0 + a * EULER_GAMMA)
+    return omega * (1.0 + _unit_order(alpha) * EULER_GAMMA)
 
 
 def estimate_alpha_small(delta: float) -> FractionalityEstimate:

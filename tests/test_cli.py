@@ -70,6 +70,15 @@ def test_quantize_alpha_override(capsys):
     assert payload["table"]["alpha"] == 0.5
 
 
+def test_quantize_takes_a_root_past_the_float_range(capsys, tmp_path):
+    path = tmp_path / "big_root.model"
+    path.write_text("variables: q, p\nalpha: 1\nkinetic q: p\n"
+                    "kinetic p: 0\npotential: (10^400)^(1/2)*q\n")
+    code, out, err = run(capsys, "quantize", str(path))
+    assert (code, err) == (0, "status: regular\n")
+    assert json.loads(out)["table"]["brackets"] == [["0", "1"], ["-1", "0"]]
+
+
 @pytest.mark.parametrize("command", ["quantize", "simulate"])
 @pytest.mark.parametrize("alpha, message", [
     ("x", "--alpha must be a number or 'symbolic', got 'x'"),
@@ -254,6 +263,17 @@ def test_estimate_requires_regime(capsys):
         main(["estimate-alpha", "--delta", "1e-8"])
     assert err.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate-alpha", "--delta", "1e-8", "--regime", "small"),
+    ("report-hall", "--alpha", "1e-4"),
+], ids=["estimate-alpha", "report-hall"])
+def test_verbose_is_not_an_option_without_a_log(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--verbose"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
 
 # -- report-hall -------------------------------------------------------------

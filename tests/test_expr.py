@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from fracsymp.expr import (
     EULER_GAMMA,
     Constant,
+    FracsympError,
     GammaFactor,
+    NegativeBaseRoot,
     ONE,
     NonDifferentiable,
     ParseError,
@@ -183,6 +185,16 @@ def test_evaluate_bindings():
         evaluate(e, {"q": 1.0})
 
 
+@pytest.mark.parametrize("text, point, typed, builtin", [
+    ("q^(-1)", 0.0, ZeroToNegativePower, ZeroDivisionError),
+    ("q^(1/2)", -1.0, NegativeBaseRoot, ValueError),
+], ids=["zero-base", "negative-base"])
+def test_undefined_powers_are_typed_errors(text, point, typed, builtin):
+    with pytest.raises(FracsympError) as err:
+        evaluate(parse(text), {"q": point})
+    assert isinstance(err.value, typed) and isinstance(err.value, builtin)
+
+
 def test_reserved_euler_constant():
     e = parse_expression("gamma_ec", variables=())
     assert evaluate(e) == EULER_GAMMA
@@ -263,6 +275,41 @@ def test_parse_errors_have_positions():
     except ParseError as exc:
         err = exc
     assert err is not None and "bad" in str(err)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(q)p", "trailing input 'p' (column 4)"),
+    ("sin(q)", "unknown function 'sin' (column 1)"),
+    ("q^p", "exponent must reduce to a rational constant (column 3)"),
+], ids=["trailing-input", "unknown-function", "non-constant-exponent"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("q^-2", "q^(-2)"),
+    ("+q - +p", "q - p"),
+], ids=["signed-exponent", "unary-plus"])
+def test_signs_the_grammar_accepts(text, same_as):
+    assert parse(text) == parse(same_as)
+
+
+@pytest.mark.parametrize("text, root", [
+    ("(10^400)^(1/2)", 10**200),
+    ("(1000000000000000000000000000007^2)^(1/2)",
+     1000000000000000000000000000007),
+    ("(123456789012345678901^3)^(1/3)", 123456789012345678901),
+    ("(10^400)^(1/4)", 10**100),
+], ids=["past-float-range", "past-2^53", "cube-past-2^53", "fourth-root"])
+def test_integer_roots_are_exact(text, root):
+    assert simplify(parse(text)) == Constant(Fraction(root))
+
+
+def test_inexact_large_roots_stay_opaque():
+    assert simplify(parse("(10^401 + 1)^(1/3)")) == Power(
+        Constant(Fraction(10**401 + 1)), Fraction(1, 3))
 
 
 @pytest.mark.parametrize("text", ["0^(-1)*q", "(q - q)^(-1)"])

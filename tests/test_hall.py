@@ -1,10 +1,13 @@
 """Planar magnetic scenarios: strong-field quantization, corrected cyclotron
 frequency, and order-of-fractionality estimates."""
 
+import dataclasses
 import math
+import pathlib
 
 import pytest
 
+import fracsymp
 from fracsymp.expr import evaluate, to_text
 from fracsymp.frac import gamma
 from fracsymp.hall import (
@@ -24,8 +27,10 @@ from fracsymp.hall import (
     quantize_strong_field,
     strong_field_bracket_first_order,
 )
+from fracsymp.modelfile import parse_model_file
 
 EULER_GAMMA = 0.5772156649015329
+MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
 
 
 def strong(alpha=None, e=1.0, B=1.0, hbar=1.0):
@@ -66,6 +71,19 @@ def test_build_full_model():
     m = build_landau_model(s)
     assert m.variables == ("r1", "r2", "v1", "v2")
     assert set(m.constants) == {"e", "B", "m"}
+
+
+@pytest.mark.parametrize("s, name", [
+    (strong(alpha=0.3, e=-2.5, B=1.5), "landau_strong"),
+    (HallScenario(2.0, -0.5, 1.5, 1.0, None, FULL_DYNAMICS), "landau_full"),
+], ids=["strong-field", "full-dynamics"])
+def test_build_is_the_bundled_document(s, name):
+    doc = parse_model_file(MODELS / (name + ".model"))
+    constants = {"e": s.e, "B": s.B}
+    if s.regime == FULL_DYNAMICS:
+        constants["m"] = s.m
+    assert build_landau_model(s) == dataclasses.replace(
+        doc.model, alpha=s.alpha, constants=constants)
 
 
 def test_build_rejects_zero_order():

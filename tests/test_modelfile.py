@@ -132,3 +132,44 @@ def test_bundled_corpus_parses():
             "constrained_3d", "gauge_demo"} <= names
     for p in sorted(MODELS.glob("*.model")):
         parse_model_file(p)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("kinetic p: 0", "kinetic: 0",
+     "line 4: kinetic needs a variable name, as in 'kinetic q: ...'"),
+    ("kinetic p: 0", "kinetic q: 0",
+     "line 4: duplicate kinetic entry for 'q'"),
+    ("alpha: 1", "alpha q: 1", "line 2: key 'alpha' takes no variable name"),
+    ("potential: 1/2*(q^2 + p^2)", "", "missing required key 'potential'"),
+    ("variables: q, p", "variables: q, , p", "line 1: empty variable name"),
+    ("variables: q, p", "variables: q, 2p", "line 1: bad variable name '2p'"),
+    ("variables: q, p", "variables: q, p, q", "line 1: duplicate variable 'q'"),
+    ("alpha: 1", "alpha: 1\nconstants: c", "line 3: constants are "
+     "'name = value' pairs"),
+    ("alpha: 1", "alpha: 1\nconstants: 2c = 1",
+     "line 3: bad constant name '2c'"),
+    ("alpha: 1", "alpha: 1\nconstants: q = 1", "line 3: name 'q' declared twice"),
+    ("alpha: 1", "alpha: 1\nconstants: c = 1, c = 2",
+     "line 3: name 'c' declared twice"),
+    ("alpha: 1", "alpha: 1\nconstants: c = one",
+     "line 3: bad numeric value for 'c'"),
+    ("potential: 1/2*(q^2 + p^2)", "potential:", "line 5: empty expression"),
+], ids=["kinetic-without-name", "duplicate-kinetic", "scalar-key-with-name",
+        "missing-key", "empty-variable", "bad-variable", "duplicate-variable",
+        "constant-without-equals", "bad-constant-name",
+        "constant-names-a-variable", "constant-declared-twice",
+        "non-numeric-constant", "empty-expression"])
+def test_document_errors_name_their_line(old, new, message):
+    assert old in MINIMAL
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(MINIMAL.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_render_writes_gauge_conditions():
+    doc = parse_model_text(MINIMAL + "constraints_gauge: q - p\n"
+                                     "constraints_gauge: p\n")
+    text = render_model(doc.model, doc.gauge_conditions)
+    assert text.endswith("potential: 1/2*p^2 + 1/2*q^2\n"
+                         "constraints_gauge: -p + q\nconstraints_gauge: p\n")
+    assert parse_model_text(text) == doc
