@@ -2,18 +2,21 @@
 simulate` trajectories, byte for byte.
 
 `tests/golden/<name>.json` holds what `quantize` printed for each bundled
-model and for five models under `tests/golden/`: `dense6_symbolic.model`,
+model and for six models under `tests/golden/`: `dense6_symbolic.model`,
 a dense 6-variable symbolic-order model whose two-form has a multi-term
 Gamma(1 + alpha) determinant; `dense5_symbolic.model`, its 5-variable
 kin, whose one constraint level adds the multiplier lam_1 and whose table
 is restricted to the original variables; `laurent_pfaffian.model`, whose
 (1 + c^2)^(-1) entries make `simplify` cancel a multi-term denominator by
-exact division; and `positive_root.model`, whose positive variable q
+exact division; `positive_root.model`, whose positive variable q
 collapses (q^2)^(1/2) and (q^2)^(3/2) in the kinetic sector, while the
-inverse of the same entries is taken with no positive names; and
+inverse of the same entries is taken with no positive names;
 `span_drop.model`, whose constraint iteration drops the candidate 2*y as
 lying in the span of earlier constraints and their derivatives and ends
-in a gauge theory.  Any change to a canonical form, to the constraint
+in a gauge theory; and `rational_rows.model`, whose two-form rows carry
+different denominators, a q^(1/2) entry and a Gamma(1 + alpha) entry, so
+that the row scaling and the rational exponents of the exact elimination
+are pinned.  Any change to a canonical form, to the constraint
 iteration or to the JSON rendering shows up here as a byte difference.
 
 `tests/golden/<name>.json` also holds what `report-hall` and
@@ -51,6 +54,7 @@ CASES = {
     "dense6_symbolic": (GOLDEN / "dense6_symbolic.model", 0),
     "laurent_pfaffian": (GOLDEN / "laurent_pfaffian.model", 0),
     "positive_root": (GOLDEN / "positive_root.model", 0),
+    "rational_rows": (GOLDEN / "rational_rows.model", 0),
     "span_drop": (GOLDEN / "span_drop.model", 2),
 }
 
