@@ -458,19 +458,133 @@ def _exponent_ranges(p: dict) -> dict:
             for b, (lo, hi, n) in seen.items()}
 
 
+def _denominator_lcm(coeffs) -> int:
+    return math.lcm(*(c.denominator for c in coeffs))
+
+
+class _Packing:
+    """Monomials over the bases that the dicts `polys` hold, each packed
+    into one int, for kernels that multiply and divide many of them.
+
+    A base's exponents are scaled to integers by the lcm of their
+    denominators.  The exponent vector (weighted total degree, then one
+    exponent per base in `_base_key` order) is written in signed digits of
+    a power-of-two radix, so multiplying two monomials is adding their ints,
+    and comparing two ints compares their vectors lexicographically: by
+    total degree, then by exponents, a total order that respects
+    multiplication, also with negative and rational exponents.  The radix
+    holds every exponent up to `spread` times the largest in `polys`, so a
+    caller states how far its products and quotients can reach."""
+
+    def __init__(self, polys, spread: int):
+        exps: dict = {}
+        for p in polys:
+            for mono in p:
+                for b, e in mono:
+                    exps.setdefault(b, set()).add(e)
+        self.bases = sorted(exps, key=_base_key)
+        self.scales = [math.lcm(*(e.denominator for e in exps[b])) for b in self.bases]
+        top = math.lcm(*self.scales)
+        self.weights = [top // d for d in self.scales]
+        self.slot = {b: i for i, b in enumerate(self.bases)}
+        bound = spread * sum(int(max(map(abs, exps[b])) * d) * w for b, d, w in
+                             zip(self.bases, self.scales, self.weights))
+        self.shift = bound.bit_length() + 2
+        self._monos: dict = {}
+
+    def pack(self, mono) -> int:
+        v = [0] * len(self.bases)
+        for b, e in mono:
+            i = self.slot[b]
+            v[i] = e.numerator * (self.scales[i] // e.denominator)
+        x = sum(a * w for a, w in zip(v, self.weights))
+        for a in v:
+            x = (x << self.shift) + a
+        return x
+
+    def exponents(self, x: int) -> list:
+        """The integer exponent of each base in the packed monomial x."""
+        s = self.shift
+        half = 1 << (s - 1)
+        mask = (1 << s) - 1
+        out = []
+        for _ in self.bases:
+            a = ((x + half) & mask) - half
+            out.append(a)
+            x = (x - a) >> s
+        out.reverse()
+        return out
+
+    def mono(self, x: int) -> tuple:
+        m = self._monos.get(x)
+        if m is None:
+            m = tuple((b, Fraction(a, d) if d > 1 else a) for b, d, a in
+                      zip(self.bases, self.scales, self.exponents(x)) if a)
+            self._monos[x] = m
+        return m
+
+    def to_ints(self, p: dict, scale: int) -> dict:
+        """p times `scale`, a multiple of its coefficients' denominators,
+        with packed monomials and int coefficients."""
+        return {self.pack(m): c.numerator * (scale // c.denominator)
+                for m, c in p.items()}
+
+    def from_ints(self, p: dict, factor: Fraction) -> dict:
+        """p times `factor`, with monomials as `_to_poly` writes them."""
+        return {self.mono(x): c * factor for x, c in p.items()}
+
+
+def _divide(num: dict, den: dict, inside: Callable | None = None) -> dict | None:
+    """Quotient num / den of packed int-coefficient dicts, or None when it
+    is not exact; `num` is used up.  The caller sees to it that an exact
+    quotient has integer coefficients.
+
+    Each step divides the leading term of the remainder by the leading term
+    of den.  In a total order that respects multiplication, that term is
+    the leading term of what is left of an exact quotient.  So a step whose
+    coefficient does not divide, or whose monomial lies below
+    lowest(num) - lowest(den), the lowest monomial an exact quotient can
+    have, or outside `inside`, means the division is not exact, and a
+    non-exact division stops after finitely many steps."""
+    if not num:
+        return {}
+    if len(den) == 1:
+        (dm, dc), = den.items()
+        out = {}
+        for m, c in num.items():
+            q, r = divmod(c, dc)
+            if r:
+                return None
+            out[m - dm] = q
+        return out
+    dlead = max(den)
+    dcoeff = den[dlead]
+    low = min(num) - min(den)
+    quot = {}
+    while num:
+        lead = max(num)
+        t = lead - dlead
+        if t < low or (inside is not None and not inside(t)):
+            return None
+        q, r = divmod(num[lead], dcoeff)
+        if r:
+            return None
+        quot[t] = q
+        for dm, dc in den.items():
+            _accumulate(num, t + dm, -q * dc)
+    return quot
+
+
 def _poly_div(num: dict, den: dict) -> dict | None:
     """Quotient num / den in the Laurent ring, or None when it is not exact.
 
     Every exponent of an exact quotient lies between the lowest and the
     highest exponents that num and den allow for its base, so an empty box
-    means the division is not exact before any monomial is compared.  The
-    bases of both operands are ordered by `_base_key`, and monomials by
-    (total degree, exponent vector over those bases): a total order that
-    respects multiplication, also with negative and rational exponents.
-    The leading term of the remainder then always comes from the leading
-    term of the quotient, and a quotient term outside the box means the
-    division is not exact, so a non-exact division stops after finitely
-    many steps.
+    means the division is not exact before any monomial is compared, and a
+    quotient term outside the box stops the division.  Otherwise both
+    operands are packed (`_Packing`), num scaled to integer coefficients
+    and den to primitive ones, so that by Gauss's lemma an exact quotient
+    has integer coefficients, and `_divide` runs on them.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -483,41 +597,25 @@ def _poly_div(num: dict, den: dict) -> dict | None:
         inv = {_sorted_mono([(b, -e) for b, e in mono]): 1 / c}
         return _poly_mul(num, inv)
     nr, dr = _exponent_ranges(num), _exponent_ranges(den)
-    bases = sorted(nr.keys() | dr.keys(), key=_base_key)
-    lo, hi = [], []
-    for b in bases:
+    box = {}
+    for b in nr.keys() | dr.keys():
         (nlo, nhi), (dlo, dhi) = nr.get(b, (0, 0)), dr.get(b, (0, 0))
         if nlo - dlo > nhi - dhi:
             return None
-        lo.append(nlo - dlo)
-        hi.append(nhi - dhi)
-    slot = {b: i for i, b in enumerate(bases)}
+        box[b] = (nlo - dlo, nhi - dhi)
+    pk = _Packing((num, den), 4)
+    lo = [box[b][0] * d for b, d in zip(pk.bases, pk.scales)]
+    hi = [box[b][1] * d for b, d in zip(pk.bases, pk.scales)]
 
-    def dense(p):
-        # column 0 of a dense key is the total degree, the rest one per base
-        out = {}
-        for m, c in p.items():
-            v = [0] * len(bases)
-            for b, e in m:
-                v[slot[b]] = e
-            out[(sum(v), *v)] = c
-        return out
+    def inside(t):
+        return all(l <= e <= h for l, e, h in zip(lo, pk.exponents(t), hi))
 
-    rem, dd = dense(num), dense(den)
-    dlead = max(dd)
-    dcoeff = dd[dlead]
-    quot = {}
-    while rem:
-        rlead = max(rem)
-        t = tuple(a - b for a, b in zip(rlead, dlead))
-        if not all(l <= e <= h for l, e, h in zip(lo, t[1:], hi)):
-            return None
-        c = rem[rlead] / dcoeff
-        quot[t] = c
-        for dm, dc in dd.items():
-            _accumulate(rem, tuple(a + b for a, b in zip(t, dm)), -c * dc)
-    return {tuple((b, e) for b, e in zip(bases, t[1:]) if e): c
-            for t, c in quot.items()}
+    sn, sd = _denominator_lcm(num.values()), _denominator_lcm(den.values())
+    dint = pk.to_ints(den, sd)
+    g = math.gcd(*dint.values())
+    quot = _divide(pk.to_ints(num, sn), {m: c // g for m, c in dint.items()},
+                   inside)
+    return None if quot is None else pk.from_ints(quot, Fraction(sd, sn * g))
 
 
 def _cancel_denominators(p: dict, positive: frozenset) -> dict:
@@ -887,15 +985,13 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                at = len(text) - len(rest)
+                raise ParseError(f"unexpected character {text[at]!r}", at)
             break
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start()))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

@@ -27,8 +27,10 @@ from .expr import (
     Product,
     Sum,
     ZERO,
-    _poly_add,
-    _poly_div,
+    _ONE,
+    _Packing,
+    _denominator_lcm,
+    _divide,
     _poly_mul,
     _rebuild,
     _sorted_mono,
@@ -274,6 +276,18 @@ def _nonzero(x: dict) -> bool:
     return bool(x) and _cleared([x])[0] != ZERO
 
 
+def _mul_sub(p: dict, x: dict, a: dict, y: dict) -> dict:
+    """p x - a y for packed int-coefficient dicts."""
+    out: dict = {}
+    for u, v, sign in ((p, x, 1), (a, y, -1)):
+        for m1, c1 in u.items():
+            c1 *= sign
+            for m2, c2 in v.items():
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
 def _eliminate(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
     of Laurent-polynomial dicts of `_to_poly`, in place.
@@ -283,42 +297,58 @@ def _eliminate(rows, ncols: int):
     winning; later columns are carried along.  Step k updates every other
     row as (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact,
     in each later column and in each free column met so far (the null basis
-    reads those), so the cost is O(n^3) polynomial operations.  Pivot
-    columns are never written, so `rows` does not hold what the elimination
-    implies there: the last pivot p in each pivot row's own pivot column,
-    and 0 in its other pivot columns and in the first `ncols` columns of
-    the rows below the pivot rows.  An entry skipped because it simplifies
-    to 0 may likewise stay a nonzero dict.  The later columns and the free
-    columns hold the eliminated values.  Returns (pivot columns, p, sign of
-    the row permutation)."""
+    reads those), so the cost is O(n^3) polynomial operations.
+
+    The loop runs on integers.  On entry each row is scaled by the lcm of
+    its coefficient denominators, a scale that moves with the row, and each
+    monomial is packed (`_Packing`).  Every entry is then a minor of the
+    scaled rows: p and the pivot rows carry the product S of the pivot
+    rows' scales, any other row S times its own.  On return those scales
+    are divided out and `rows` holds the eliminated matrix as dicts again:
+    p in each pivot row's own pivot column, 0 in the other entries of the
+    pivot columns, and the eliminated values elsewhere, where an entry that
+    simplifies to 0 may still be a nonzero dict.  Returns (pivot columns, p,
+    sign of the row permutation)."""
+    pk = _Packing([x for row in rows for x in row], 4 * len(rows))
+    scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
+    mat = [[pk.to_ints(x, s) for x in row] for row, s in zip(rows, scales)]
     pivots: list = []
     free: list = []
     sign = 1
-    prev = {(): Fraction(1)}
+    prev = {0: 1}
     for c in range(ncols):
         r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if _nonzero(rows[i][c])), None)
+        sel = next((i for i in range(r, len(mat))
+                    if mat[i][c] and _nonzero(pk.from_ints(mat[i][c], _ONE))),
+                   None)
         if sel is None:
             free.append(c)
             continue
         if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
+            mat[r], mat[sel] = mat[sel], mat[r]
+            scales[r], scales[sel] = scales[sel], scales[r]
             sign = -sign
-        pivot = rows[r]
+        pivot = mat[r]
         p = pivot[c]
         cols = free + list(range(c + 1, len(pivot)))
-        for i, row in enumerate(rows):
+        for i, row in enumerate(mat):
             if i == r:
                 continue
-            minus_a = {m: -x for m, x in row[c].items()}
+            a = row[c]
             for j in cols:
-                t = _poly_add(_poly_mul(p, row[j]), _poly_mul(minus_a, pivot[j]))
-                row[j] = _poly_div(t, prev)
+                row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
                 if row[j] is None:
                     raise ArithmeticError("fraction-free step is not exact")
         pivots.append(c)
         prev = p
-    return pivots, prev, sign
+    s = math.prod(scales[:len(pivots)])
+    p = pk.from_ints(prev, Fraction(1, s))
+    for i, row in enumerate(mat):
+        factor = Fraction(1, s if i < len(pivots) else s * scales[i])
+        rows[i] = [pk.from_ints(x, factor) for x in row]
+        for k, pc in enumerate(pivots):
+            rows[i][pc] = dict(p) if k == i else {}
+    return pivots, p, sign
 
 
 def _null_basis(rows, pivots, p, n: int) -> tuple:

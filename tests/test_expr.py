@@ -279,9 +279,12 @@ def test_parse_errors_have_positions():
 
 @pytest.mark.parametrize("text, message", [
     ("(q)p", "trailing input 'p' (column 4)"),
+    ("q p", "trailing input 'p' (column 3)"),
+    ("q +   @", "unexpected character '@' (column 7)"),
     ("sin(q)", "unknown function 'sin' (column 1)"),
     ("q^p", "exponent must reduce to a rational constant (column 3)"),
-], ids=["trailing-input", "unknown-function", "non-constant-exponent"])
+], ids=["trailing-input", "after-a-space", "unexpected-after-spaces",
+        "unknown-function", "non-constant-exponent"])
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse(text)

@@ -260,6 +260,22 @@ def test_pivots_that_vanish_only_on_simplifying_are_skipped(names, upper):
         assemble_form(m)
 
 
+def test_row_scales_move_with_their_rows():
+    """Row 0 is swapped down at both pivots and ends as the one non-pivot
+    row, so its scale (5) must not stand in for a pivot row's (2 and 3):
+    p is the pivot minor 1/6, not 1/10.  On return the pivot columns hold
+    p and 0, and the carried column of the non-pivot row holds its
+    bordered minor."""
+    f = Fraction
+    rows = [[{}, {}, {(): f(1, 5)}],
+            [{(): f(1, 2)}, {}, {}],
+            [{}, {(): f(1, 3)}, {}]]
+    assert _eliminate(rows, 2) == ([0, 1], {(): f(1, 6)}, 1)
+    assert rows == [[{(): f(1, 6)}, {}, {}],
+                    [{}, {(): f(1, 6)}, {}],
+                    [{}, {}, {(): f(1, 30)}]]
+
+
 _A = "c*(1 + c)^(-1)"
 _B = "1 - (1 + c)^(-1)"
 
@@ -577,9 +593,29 @@ _ORACLE_ATOMS = ("Gamma(1 + alpha)", "q^(-1)", "p^(1/2)", "(1 + q^2)^(-1)",
                  "q", "p")
 
 
+def _seeded_forms(rnd, count, coeffs):
+    """`count` 2x2 and 4x4 forms whose entries are combinations of the
+    atoms above with coefficients drawn from `coeffs`."""
+    forms = []
+    while len(forms) < count:
+        n = rnd.choice((2, 4, 4))
+        upper = []
+        for i in range(n - 1):
+            row = []
+            for _ in range(i + 1, n):
+                terms = ["%s*%s" % (rnd.choice(coeffs), rnd.choice(_ORACLE_ATOMS))
+                         for _ in range(rnd.choice((1, 1, 2)))]
+                row.append(" + ".join(terms))
+            upper.append(row)
+        forms.append(form_from_upper(upper, _ORACLE_NAMES, ("p",)))
+    return forms
+
+
 def _oracle_corpus():
     """Hand-picked forms, then a seeded set of 2x2 and 4x4 forms whose
-    entries are small integer combinations of the atoms above."""
+    entries are small integer combinations of the atoms above, then a
+    seeded set whose coefficients have denominators 2, 3 and 4, so that
+    the rows of one form need different scales."""
     forms = [
         form_from_upper([["Gamma(1 + alpha)*q^(-1)"]], _ORACLE_NAMES),
         form_from_upper([["p^(1/2)", "1", "(1 + q^2)^(-1)"],
@@ -590,18 +626,10 @@ def _oracle_corpus():
                          ["(1 + q^2)^(-1)", "0"],
                          ["Gamma(1 + alpha)*(1 + q^2)^(-1)"]], _ORACLE_NAMES),
     ]
-    rnd = random.Random(20261018)
-    while len(forms) < 15:
-        n = rnd.choice((2, 4, 4))
-        upper = []
-        for i in range(n - 1):
-            row = []
-            for _ in range(i + 1, n):
-                terms = ["%d*%s" % (rnd.choice((-2, -1, 1, 3)), rnd.choice(_ORACLE_ATOMS))
-                         for _ in range(rnd.choice((1, 1, 2)))]
-                row.append(" + ".join(terms))
-            upper.append(row)
-        forms.append(form_from_upper(upper, _ORACLE_NAMES, ("p",)))
+    forms += _seeded_forms(random.Random(20261018), 12, (-2, -1, 1, 3))
+    rational = [Fraction(k, d) for k, d in ((1, 2), (2, 3), (3, 4), (1, 1), (2, 1))]
+    forms += _seeded_forms(random.Random(20261019), 8,
+                           [c for x in rational for c in (x, -x)])
     return forms
 
 
@@ -620,6 +648,10 @@ def _bundled_forms():
 def test_invert_form_matches_cofactor_oracle():
     regular = 0
     for f in _bundled_forms() + _oracle_corpus():
+        rows, _pivots, p, _sign = f.elimination
+        assert all(type(c) is Fraction
+                   for x in [p, *(x for row in rows for x in row)]
+                   for c in x.values())
         if f.rank < f.dimension:
             with pytest.raises(SingularForm):
                 invert_form(f)
@@ -634,7 +666,7 @@ def test_invert_form_matches_cofactor_oracle():
         assert [[to_text(e) for e in row] for row in got] == \
             [[to_text(e) for e in row] for row in want]
         regular += 1
-    assert regular >= 15
+    assert regular >= 21
 
 
 def test_invert_form_raises_on_singular_entries():
