@@ -13,6 +13,8 @@ readable.  All JSON is rendered deterministically: fixed key order and
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 from dataclasses import replace
 
@@ -28,14 +30,23 @@ _EXIT_BY_STATUS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse front end that exits 1 (not 2) on usage errors."""
+    """argparse front end that exits 1 (not 2) on usage errors and reads
+    -1e-3 after a flag as a number, as it does -0.001."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+|\d*\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: parsing
+    leaves it unchanged, and building it costs more than most commands."""
     p = _Parser(prog="fracsymp",
                 description="fractional symplectic quantization toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -301,6 +301,14 @@ def test_report_hall_custom_field(capsys):
     assert json.loads(out)["theta_classical"] == 0.125
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+3", "-1.5", "-2"])
+def test_report_hall_reads_a_negative_number_after_its_flag(capsys, value):
+    code, out, err = run(capsys, "report-hall", "--alpha", "1e-4", "--B", value)
+    assert (code, err) == (0, "")
+    assert run(capsys, "report-hall", "--alpha", "1e-4", "--B=" + value) == \
+        (0, out, "")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--e", "0"), "e must be nonzero"),
     (("--e", "1e-320"), "leaves the float range"),
@@ -429,3 +437,16 @@ def test_unknown_subcommand_exits_one(capsys):
         main(["transmogrify"])
     assert err.value.code == 1
     capsys.readouterr()
+
+
+def test_successive_calls_share_no_state(capsys):
+    code, out, err = run(capsys, "quantize", model("canonical_pair"), "--verbose")
+    assert code == 0 and err.startswith("variables: ")
+    assert run(capsys, "quantize", model("canonical_pair")) == \
+        (0, out, "status: regular\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", model("canonical_pair"), "--alpha"])
+    assert exc.value.code == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(capsys, "quantize", model("canonical_pair")) == \
+        (0, out, "status: regular\n")
