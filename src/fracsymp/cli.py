@@ -35,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # what argparse takes for a negative number, not an option string
         self._negative_number_matcher = re.compile(
             r"^-(?:\d+|\d*\.\d+)(?:[eE][+-]?\d+)?$")
 
@@ -45,8 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then kept: parsing
-    leaves it unchanged, and building it costs more than most commands."""
+    """The command-line parser, built on the first call and kept for the
+    process: parsing does not change it, so repeated `main` calls in one
+    process (tests, library callers) do not build it again."""
     p = _Parser(prog="fracsymp",
                 description="fractional symplectic quantization toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
