@@ -13,7 +13,6 @@ readable.  All JSON is rendered deterministically: fixed key order and
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from dataclasses import replace
@@ -44,11 +43,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and kept for the
-    process: parsing does not change it, so repeated `main` calls in one
-    process (tests, library callers) do not build it again."""
     p = _Parser(prog="fracsymp",
                 description="fractional symplectic quantization toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

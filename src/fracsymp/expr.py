@@ -490,7 +490,6 @@ class _Packing:
         bound = spread * sum(int(max(map(abs, exps[b])) * d) * w for b, d, w in
                              zip(self.bases, self.scales, self.weights))
         self.shift = bound.bit_length() + 2
-        self._monos: dict = {}
 
     def pack(self, mono) -> int:
         v = [0] * len(self.bases)
@@ -516,12 +515,8 @@ class _Packing:
         return out
 
     def mono(self, x: int) -> tuple:
-        m = self._monos.get(x)
-        if m is None:
-            m = tuple((b, Fraction(a, d) if d > 1 else a) for b, d, a in
-                      zip(self.bases, self.scales, self.exponents(x)) if a)
-            self._monos[x] = m
-        return m
+        return tuple((b, Fraction(a, d) if d > 1 else a) for b, d, a in
+                     zip(self.bases, self.scales, self.exponents(x)) if a)
 
     def to_ints(self, p: dict, scale: int) -> dict:
         """p times `scale`, a multiple of its coefficients' denominators,
@@ -544,8 +539,12 @@ def _divide(num: dict, den: dict, inside: Callable | None = None) -> dict | None
     the leading term of what is left of an exact quotient.  So a step whose
     coefficient does not divide, or whose monomial lies below
     lowest(num) - lowest(den), the lowest monomial an exact quotient can
-    have, or outside `inside`, means the division is not exact, and a
-    non-exact division stops after finitely many steps."""
+    have, or outside `inside`, means the division is not exact.  Only the
+    `inside` box bounds the steps of a non-exact division: with Laurent
+    monomials infinitely many lie above that lowest one, and past the
+    packing's radix the digits overflow.  `_poly_div` passes the box;
+    `symplectic._eliminate` passes none and relies on every Bareiss step
+    being exact."""
     if not num:
         return {}
     if len(den) == 1:
