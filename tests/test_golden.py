@@ -30,7 +30,11 @@ both compositions, full-history and windowed, the alpha = 1 Euler and Heun
 loops, and model-file runs whose right-hand sides carry multi-term
 polynomials, Gamma(1 + alpha), roots and inverse powers.  Every state is
 printed with 17 significant digits, so a change in any rounding of the
-stepping arithmetic shows up here.
+stepping arithmetic shows up here.  Two alpha = 1 runs of
+`canonical_pair.model` pin the CSV number format itself:
+`canonical_pair_exponent`, from (3e-05, 0), has 201 cells that print in
+exponent form, and `canonical_pair_zeros`, from (0, -0.0), has 101 `-0`
+cells.
 """
 
 import pathlib
@@ -94,6 +98,8 @@ _GAMMA_ROOTS = (str(GOLDEN / "gamma_roots.model"), "--alpha", "0.6",
                 "--T", "1", "--h", "1e-2", "--initial", "0.8,-0.3")
 _ANHARMONIC = (str(GOLDEN / "anharmonic4.model"), "--T", "1", "--h", "1e-2",
                "--initial", "0.5,-0.4,0.2,0.1")
+_CANONICAL = (str(MODELS / "canonical_pair.model"), "--alpha", "1",
+              "--T", "10", "--h", "0.1")
 _GL = ("--scheme", "grunwald-letnikov")
 _PC = ("--scheme", "predictor-corrector")
 
@@ -107,6 +113,8 @@ TRAJECTORIES = {
     "gamma_roots_gl": _GAMMA_ROOTS + _GL,
     "gamma_roots_pece": _GAMMA_ROOTS + _PC,
     "anharmonic4_heun": _ANHARMONIC + _PC,
+    "canonical_pair_exponent": _CANONICAL + ("--initial=3e-05,0",),
+    "canonical_pair_zeros": _CANONICAL + ("--initial=0,-0.0",),
 }
 
 
