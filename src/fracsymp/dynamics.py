@@ -54,8 +54,8 @@ import numpy as np
 from .expr import (FracsympError, _define, _emit_values, compile_expr,
                    parse_expression, to_text)
 from .frac import FracOrder, gamma, lag_sums, product_weights
-# format_rows through its module: a tracer that wraps the names one module
-# imports from another (bench/tracing.py) then counts CSV text in to_csv
+# format_rows is called through its module: bench/tracing.py wraps the names
+# one module imports from another, and CSV text belongs to the to_csv span
 from . import serialize
 from .serialize import render_json
 
