@@ -160,6 +160,7 @@ def format_rows(block: np.ndarray) -> bytes:
     words = np.empty((rows * cols, 5), np.uint64)
     words[:, 0] = (_PREFIX[exp10 + 4] | _LEAD[lead * ~zero]
                    | np.signbit(x) * _MINUS)
+    # word i holds digits 4i - 3 .. 4i, of which the first 17 - drop stay
     for i, q in enumerate((q1, q2, q3, q4), 1):
         words[:, i] = _QUAD[q] & _KEEP[np.clip(20 - 4 * i - drop, 0, 4)]
     words.reshape(rows, cols, 5)[:, :, 4] |= [_COMMA] * (cols - 1) + [_NEWLINE]
