@@ -11,31 +11,32 @@ At alpha = 1 both dispatch to literal classical loops (explicit Euler and
 Heun respectively), so the classical limit is reproduced exactly rather
 than through cancellation in the fractional weights.
 
-Cost model.  An alpha = 1 run is one generated Python function holding the
-whole Euler or Heun loop with the right-hand side written out inline
-(from the emitter of expr.compile_expr): the state lives in locals, so a
-step is O(d) float operations and d finiteness checks, with no
-right-hand-side call, list or numpy work, and the rows go into the state
-array ROW_BLOCK at a time.  In
-the fractional schemes the right-hand side is one generated function of
-the state (expr.compile_expr), so an evaluation is one call returning a
-tuple; every step works on lists of Python floats and writes its row into
-the state array as it is produced.  Every weight family (the binomial weights, the
-predictor's k^alpha differences, the corrector's product-integration
-weights from frac.product_weights) is built once per run, with
-min(N, window) entries, and read as a lag kernel.  The history sums are
-blocked (Hairer, Lubich & Schlichte): the run is split in halves down to
-blocks of at most BASE steps, each step takes the sum over its own block
-as one contiguous-slice dot, and what a finished half gives the half after
-it is added in by one FFT product (frac.lag_sums).  A run of N steps so
-costs O(N * BASE) in the dots plus O(N log^2 N) in the FFTs, windowed or
-not, and a run of at most BASE steps takes no FFT at all.
+Cost model.  Every run steps through one generated Python function that
+holds a block's whole step loop with the right-hand side written out
+inline (from the emitter of expr.compile_expr; twice in a Heun or
+predictor-corrector step): the state lives in locals, so a step is O(d)
+float operations and finiteness checks with no right-hand-side call, and a
+block's states go into the state array with one slice assignment.  At
+alpha = 1 that is the whole Euler or Heun step, ROW_BLOCK steps per block.
+A fractional step adds one contiguous-slice dot per weight family and
+writes the row that the next step's dot reads: its increment over the
+initial state (the difference scheme) or its rate (the predictor-corrector).
+Every weight family (the binomial weights, the predictor's k^alpha
+differences, the corrector's product-integration weights from
+frac.product_weights) is built once per run, with min(N, window) entries,
+and read as a lag kernel.  The history sums are blocked (Hairer, Lubich &
+Schlichte): the run is split in halves down to blocks of at most BASE
+steps, each step takes the sum over its own block as one dot, and what a
+finished half gives the half after it is added in by one FFT product
+(frac.lag_sums).  A run of N steps so costs O(N * BASE) in the dots plus
+O(N log^2 N) in the FFTs, windowed or not, and a run of at most BASE steps
+takes no FFT at all.
 
 Every loop gives the float64 results bit for bit, up to the rounding of
 the FFT sums: where Python float arithmetic departs from float64 (an
 overflowing or zero-base power raises, a negative base under a fractional
-power turns complex), that step is redone on float64, and the run stops with Overflow at the first step whose state is
-not finite.
+power turns complex), that step is redone on float64, and the run stops
+with Overflow at the first step whose state is not finite.
 
 Initial data are plain state values at t = 0: the underlying derivative
 annihilates constants, so no fractional initial conditions are needed.
@@ -43,9 +44,9 @@ annihilates constants, so no fractional initial conditions are needed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -167,8 +168,9 @@ class FractionalIVP:
 
     def compiled_rhs(self) -> list:
         """[F]: the right-hand side as one generated function, F(state) ->
-        tuple of the rates D^alpha variables[i]; the fractional loops step
-        with it."""
+        tuple of the rates D^alpha variables[i].  The step loops write the
+        right-hand side inline; the predictor-corrector calls F once, for
+        the rate at the initial state."""
         return [compile_expr(self.rhs, self.variables, self.constants)]
 
 
@@ -219,107 +221,10 @@ class Trajectory:
 
 
 # Raised by Python float arithmetic where float64 gives inf or nan: by `**`,
-# and by math.isfinite or float() on the complex result of a negative base
-# under a fractional exponent.  The step is redone on float64.
+# and, on the complex result of a negative base under a fractional exponent,
+# by math.isfinite and by numpy writing it into a float row.  The step is
+# redone on float64.
 _NOT_FLOAT64 = (OverflowError, ZeroDivisionError, TypeError)
-
-
-def _checked(row: list, n: int) -> list:
-    """row, if every entry is finite; Overflow at step n if not."""
-    if not all(map(math.isfinite, row)):
-        raise Overflow("non-finite state at step %d" % n)
-    return row
-
-
-def _float_rows(step, F, y, first: int, stop: int):
-    """Rows first .. stop - 1 of y, row n being step(cur, n, F) with cur
-    row n - 1, all lists of Python floats.
-
-    Where Python float arithmetic departs from float64 the step is redone
-    with F evaluated on float64, so every row is float64's bit for bit.
-    The steps check their own rows (_checked), so the run stops with
-    Overflow at the first row that is not finite.
-    """
-    cur = y[first - 1].tolist()
-    for n in range(first, stop):
-        try:
-            row = step(cur, n, F)
-        except _NOT_FLOAT64:
-            row = step(cur, n, lambda v: F(np.array(v)))
-        y[n] = cur = row
-
-
-# The rows a classical run collects before it writes them into the state
-# array with one slice assignment: enough to spread the assignment's fixed
-# cost thin, few enough that their tuples stay small (about 40 KB at d = 4).
-ROW_BLOCK = 256
-
-
-def _classical_loop(p: FractionalIVP):
-    """The alpha = 1 loop of p, explicit Euler for the difference scheme and
-    Heun for the predictor-corrector, as one generated function with the
-    right-hand side written out inline.
-
-    run(y, cur, first, stop) steps rows first .. stop - 1 of y from the
-    state cur of row first - 1, in the arithmetic of cur's elements, and
-    returns the first step it did not write: stop, or a step whose
-    arithmetic raised one of _NOT_FLOAT64 or whose state is not finite.
-    """
-    d = p.dimension
-    ys = ", ".join("y%d" % i for i in range(d)) + ","
-    h = float(p.step)
-    hh = 0.5 * h
-    body = ["r%d = %s" % (i, v) for i, v in enumerate(
-        _emit_values(p.rhs, p.variables, p.constants))]
-    if p.scheme == GRUNWALD_LETNIKOV:
-        body += ["y%d = y%d + %r * r%d" % (i, i, h, i) for i in range(d)]
-    else:
-        body += ["g%d = y%d + %r * r%d" % (i, i, h, i) for i in range(d)]
-        body += ["s%d = %s" % (i, v) for i, v in enumerate(
-            _emit_values(p.rhs, p.variables, p.constants, prefix="g"))]
-        body += ["y%d = y%d + %r * (r%d + s%d)" % (i, i, hh, i, i)
-                 for i in range(d)]
-    body += ["if not (%s):" % " and ".join(
-                 "_isfinite(y%d)" % i for i in range(d)),
-             "    break",
-             "rows.append((%s))" % ys]
-    source = "\n".join([
-        "def run(y, cur, first, stop):",
-        "    %s = cur" % ys,
-        "    for lo in range(first, stop, %d):" % ROW_BLOCK,
-        "        rows = []",
-        "        try:",
-        "            for n in range(lo, min(lo + %d, stop)):" % ROW_BLOCK,
-        *("                " + line for line in body),
-        "            else:",
-        "                y[lo:n + 1] = rows",
-        "                continue",
-        "        except _NOT_FLOAT64:",
-        "            pass",
-        "        if rows:",
-        "            y[lo:n] = rows",
-        "        return n",
-        "    return stop",
-        ""])
-    return _define(source, "run", _isfinite=math.isfinite,
-                   _NOT_FLOAT64=_NOT_FLOAT64)
-
-
-def _classical(run, y):
-    """Step every row of y past row 0 by run (_classical_loop) on Python
-    floats.
-
-    A step where they depart from float64 is redone by the same loop on
-    float64 scalars, so every row is float64's bit for bit.  Overflow at
-    the first row that is not finite.
-    """
-    n = 1
-    while n < len(y):
-        n = run(y, y[n - 1].tolist(), n, len(y))
-        if n < len(y):
-            if run(y, tuple(y[n - 1]), n, n + 1) == n:
-                raise Overflow("non-finite state at step %d" % n)
-            n += 1
 
 
 def _gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -344,9 +249,9 @@ class _History:
     initial state; once rows [a, mid) are known, spill(a, mid, b) adds
     scale times all they give rows [mid, b) into acc by one lag_sums
     product.  A step then needs only the sum over its own block, rows
-    [a, n): near(a, n), one contiguous-slice dot.  In the first block
-    acc[n] is the initial state itself, so a run of at most BASE steps
-    does the direct sum's arithmetic.
+    [a, n), one contiguous-slice dot of wr with x (_near).  In the first
+    block acc[n] is the initial state itself, so a run of at most BASE
+    steps does the direct sum's arithmetic.
     """
 
     def __init__(self, g: np.ndarray, x: np.ndarray, acc: np.ndarray,
@@ -359,10 +264,6 @@ class _History:
         self.scale = scale
         self.first = first
         self.hats = {}
-
-    def near(self, a: int, n: int) -> list:
-        lo = max(a, self.first, n - self.m)
-        return self.wr[self.m - n + lo:].dot(self.x[lo:n]).tolist()
 
     def spill(self, a: int, mid: int, b: int):
         lo = max(a, self.first, mid - self.m)
@@ -386,40 +287,145 @@ def _nested(a: int, b: int, base, histories):
     _nested(mid, b, base, histories)
 
 
-# The steps append in plain loops: on CPython 3.11 a list comprehension is a
-# call of its own, and these run once or twice per step.
+# -- the generated step loops ------------------------------------------------
 
-def _gl_fractional(F, y, h, alpha, window):
-    steps = len(y) - 1
-    # y_n = y_0 + h^a F(y_{n-1}) - sum_j w_j (y_{n-j} - y_0), j = 1..n-lo;
-    # the rows of y not yet stepped hold y_0 minus their far sums
+# The rows an alpha = 1 run steps per call of its loop, collected before one
+# slice assignment writes them into the state array: enough to spread the
+# assignment's fixed cost thin, few enough that their tuples stay small
+# (about 40 KB at d = 4).
+ROW_BLOCK = 256
+
+
+def _slots(prefix: str, d: int) -> str:
+    """`prefix0, prefix1, ..., ` for d slots: an unpacking target, or the
+    items of a tuple."""
+    return "".join("%s%d, " % (prefix, i) for i in range(d))
+
+
+def _finite(d: int) -> list:
+    """Source that ends the step loop unless the state y0, y1, ... is
+    finite."""
+    return ["if not (%s):" % " and ".join(
+                "_isfinite(y%d)" % i for i in range(d)),
+            "    break"]
+
+
+def _near(hist: _History, wr: str, x: str, out: str, d: int) -> list:
+    """Source of hist's sum at step n over the rows of its own block (from
+    row a, within the window) into out0, out1, ...: one contiguous-slice
+    dot of the reversed weights, the global wr, with the rows of the
+    global x."""
+    return ["lo = max(a, %d, n - %d)" % (hist.first, hist.m),
+            "%s= %s[%d - n + lo:].dot(%s[lo:n]).tolist()"
+            % (_slots(out, d), wr, hist.m, x)]
+
+
+def _loop(d: int, head: list, target: str, body: list, **names):
+    """One leaf block's step loop as a generated function.
+
+    run(y, rows, a, first, stop) steps rows first .. stop - 1 of y in the
+    block that starts at row a.  `head` reads the numpy rows the steps
+    start from through rows: np.ndarray.tolist gives Python floats, list
+    gives float64 scalars, and the arithmetic is theirs.  `for target:`
+    walks the steps, and `body` makes one, with the state in the locals
+    y0, y1, ... and `names` as globals.  The states are written into y
+    with one slice assignment.  run returns the first step it did not
+    write: stop, or a step whose arithmetic raised one of _NOT_FLOAT64 or
+    whose state is not finite.
+    """
+    source = "\n".join([
+        "def run(y, rows, a, first, stop):",
+        *("    " + line for line in head),
+        "    out = []",
+        "    try:",
+        "        for %s:" % target,
+        *("            " + line for line in body),
+        "            out.append((%s))" % _slots("y", d),
+        "        else:",
+        "            y[first:stop] = out",
+        "            return stop",
+        "    except _NOT_FLOAT64:",
+        "        pass",
+        "    if out:",
+        "        y[first:n] = out",
+        "    return n",
+        ""])
+    return _define(source, "run", _isfinite=math.isfinite,
+                   _NOT_FLOAT64=_NOT_FLOAT64, **names)
+
+
+def _drive(run, y, a: int, b: int):
+    """Step the leaf block [a, b) of y, rows max(a, 1) .. b - 1, by run
+    (_loop) on Python floats.
+
+    A step where they depart from float64 is redone by the same loop on
+    float64 scalars, so every row is float64's bit for bit.  Overflow at
+    the first row that is not finite.
+    """
+    n = max(a, 1)
+    while n < b:
+        n = run(y, np.ndarray.tolist, a, n, b)
+        if n < b:
+            if run(y, list, a, n, n + 1) == n:
+                raise Overflow("non-finite state at step %d" % n)
+            n += 1
+
+
+# Each builder below takes the problem, the source of its right-hand side
+# reading y0, y1, ... (values), the state array y with the initial state in
+# row 0, and the memory window.  It sets up y and the run's weights and
+# returns the generated loop with the histories _nested spills.
+
+def _classical_loop(p: FractionalIVP, values: list, y, window):
+    """The alpha = 1 loop: explicit Euler for the difference scheme, Heun
+    for the predictor-corrector."""
+    d = p.dimension
+    h = float(p.step)
+    body = ["r%d = %s" % (i, v) for i, v in enumerate(values)]
+    if p.scheme == GRUNWALD_LETNIKOV:
+        body += ["y%d = y%d + %r * r%d" % (i, i, h, i) for i in range(d)]
+    else:
+        # z keeps the state while y holds the guess the second rhs reads
+        body += ["z%d = y%d" % (i, i) for i in range(d)]
+        body += ["y%d = z%d + %r * r%d" % (i, i, h, i) for i in range(d)]
+        body += ["s%d = %s" % (i, v) for i, v in enumerate(values)]
+        body += ["y%d = z%d + %r * (r%d + s%d)" % (i, i, 0.5 * h, i, i)
+                 for i in range(d)]
+    head = ["%s= rows(y[first - 1])" % _slots("y", d)]
+    return _loop(d, head, "n in range(first, stop)", body + _finite(d)), ()
+
+
+def _gl_loop(p: FractionalIVP, values: list, y, window):
+    """y_n = y_0 + h^a F(y_{n-1}) - sum_j w_j (y_{n-j} - y_0), j = 1..n-lo;
+    the rows of y not yet stepped hold y_0 minus their far sums."""
+    d = p.dimension
     y[1:] = y[0]
     dy = np.zeros_like(y)
-    hist = _History(_gl_weights(alpha, min(steps, window)), dy, y, -1.0)
-    ha = h ** alpha
-    y0 = y[0].tolist()
-
-    def base(a, b):
-        first = max(a, 1)
-        acc = hist.acc[first:b].tolist()
-
-        def step(cur, n, F):
-            out = []
-            for c, r, s in zip(acc[n - first], F(cur), hist.near(a, n)):
-                out.append(c + ha * r - s)
-            dy[n] = list(map(operator.sub, _checked(out, n), y0))
-            return out
-
-        _float_rows(step, F, y, first, b)
-
-    _nested(0, len(y), base, (hist,))
+    hist = _History(_gl_weights(p.alpha, min(len(y) - 1, window)), dy, y,
+                    -1.0)
+    ha = float(p.step ** p.alpha)
+    body = ["r%d = %s" % (i, v) for i, v in enumerate(values)]
+    body += _near(hist, "_wr", "_dy", "s", d)
+    body += ["y%d = c%d + %r * r%d - s%d" % (i, i, ha, i, i)
+             for i in range(d)]
+    body += _finite(d)
+    body += ["_dy[n] = (%s)" % "".join(
+        "y%d - (%r), " % (i, v) for i, v in enumerate(y[0].tolist()))]
+    head = ["%s= rows(y[first - 1])" % _slots("y", d),
+            "acc = rows(y[first:stop])"]
+    target = "n, (%s) in zip(range(first, stop), acc)" % _slots("c", d)
+    return _loop(d, head, target, body, _wr=hist.wr, _dy=dy), (hist,)
 
 
-def _pece_fractional(F, y, h, alpha, window):
-    steps = len(y) - 1
-    m = min(steps, window)
-    pre_p = h ** alpha / gamma(alpha + 1.0)
-    pre_c = h ** alpha / gamma(alpha + 2.0)
+def _pece_loop(p: FractionalIVP, values: list, y, window):
+    """The predictor's guess p + pre_p * (its sums), the corrected state
+    k + pre_c * (the corrector's sums + F(guess)), and the rate F at the
+    corrected state, which the later steps' sums read."""
+    d = p.dimension
+    alpha, h = p.alpha, p.step
+    m = min(len(y) - 1, window)
+    pre_p = float(h ** alpha / gamma(alpha + 1.0))
+    pre_c = float(h ** alpha / gamma(alpha + 2.0))
     rates = np.zeros_like(y)
     # predictor k^a - (k-1)^a at lag k; corrector d2 at lag k on rows from
     # 1, the anchor a0[n] on the origin while it is in the window, and 1 on
@@ -431,33 +437,30 @@ def _pece_fractional(F, y, h, alpha, window):
                             prepend=0.0), rates, y, pre_p)
     corr = _History(np.concatenate(([0.0], d2)), rates, y.copy(), pre_c,
                     first=1)
-
     # evaluated on float64 rows, since no step redoes it
+    F, = p.compiled_rhs()
     rates[0] = F(y[0])
-
-    def base(a, b):
-        first = max(a, 1)
-        accp = pred.acc[first:b].tolist()
-        accc = corr.acc[first:b].tolist()
-        anchor = np.outer(a0[first:b], rates[0]).tolist()
-
-        def step(cur, n, F):
-            sc = corr.near(a, n)
-            if n <= window:
-                sc = map(operator.add, anchor[n - first], sc)
-            guess = []
-            for c, s in zip(accp[n - first], pred.near(a, n)):
-                guess.append(c + pre_p * s)
-            out = []
-            for c, s, r in zip(accc[n - first], sc, F(_checked(guess, n))):
-                out.append(c + pre_c * (s + r))
-            # float() refuses a complex rate, so the step is redone on float64
-            rates[n] = list(map(float, F(_checked(out, n))))
-            return out
-
-        _float_rows(step, F, y, first, b)
-
-    _nested(0, len(y), base, (pred, corr))
+    body = _near(pred, "_wrp", "_rates", "u", d)
+    body += _near(corr, "_wrc", "_rates", "v", d)
+    body += ["if n <= %d:" % window,
+             "    %s= anchor[n - first]" % _slots("e", d)]
+    body += ["    v%d = e%d + v%d" % (i, i, i) for i in range(d)]
+    body += ["y%d = p%d + %r * u%d" % (i, i, pre_p, i) for i in range(d)]
+    body += _finite(d)
+    body += ["r%d = %s" % (i, v) for i, v in enumerate(values)]
+    body += ["y%d = k%d + %r * (v%d + r%d)" % (i, i, pre_c, i, i)
+             for i in range(d)]
+    body += _finite(d)
+    body += ["s%d = %s" % (i, v) for i, v in enumerate(values)]
+    body += ["_rates[n] = (%s)" % _slots("s", d)]
+    head = ["accp = rows(y[first:stop])",
+            "accc = rows(_accc[first:stop])",
+            "anchor = _outer(_a0[first:stop], _rates[0]).tolist()"]
+    target = "n, (%s), (%s) in zip(range(first, stop), accp, accc)" % (
+        _slots("p", d), _slots("k", d))
+    run = _loop(d, head, target, body, _wrp=pred.wr, _wrc=corr.wr,
+                _rates=rates, _accc=corr.acc, _a0=a0, _outer=np.outer)
+    return run, (pred, corr)
 
 
 def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
@@ -466,13 +469,13 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
     memory_window, when given, truncates the fractional history sums to the
     most recent `memory_window` steps (the short-memory principle), which
     trades accuracy for smaller FFT blocks; a window at least as long as
-    the run changes nothing.  With no window,
-    runs longer than MEMORY_BUDGET steps are refused.  At alpha = 1 the
-    run is one generated loop with no per-step calls.  Otherwise the
-    history weights are built once per run; a step costs one call of the
-    generated right-hand side (two for the predictor-corrector) plus one
-    dot per weight family over its own block of at most BASE steps, and
-    the older history comes in by FFT, O(N log^2 N) over the run.
+    the run changes nothing.  With no window, runs longer than
+    MEMORY_BUDGET steps are refused.  Every scheme steps through one
+    generated loop with the right-hand side written inline, so no step
+    makes a call of its own.  In a fractional run the history weights are
+    built once; a step adds one dot per weight family over its own block of
+    at most BASE steps, and the older history comes in by FFT,
+    O(N log^2 N) over the run.
     """
     times = p.grid()
     steps = len(times) - 1
@@ -483,22 +486,25 @@ def integrate(p: FractionalIVP, memory_window: int | None = None) -> Trajectory:
             "%d steps exceed the %d-step full-history budget; pass a "
             "memory_window to accept truncation" % (steps, MEMORY_BUDGET))
     window = memory_window or steps
-    if p.alpha == 1.0:
-        run = _classical_loop(p)
-    else:
-        F, = p.compiled_rhs()
+    # every loop inlines this source, so an expression that cannot compile
+    # is refused before the initial state is checked
+    values = _emit_values(p.rhs, p.variables, p.constants)
     y = np.zeros((steps + 1, p.dimension))
     y[0] = p.initial
-    _checked(y[0].tolist(), 0)
+    if not np.isfinite(y[0]).all():
+        raise Overflow("non-finite state at step 0")
+    build = (_classical_loop if p.alpha == 1.0
+             else _gl_loop if p.scheme == GRUNWALD_LETNIKOV else _pece_loop)
     # overflow in the arithmetic itself surfaces as the Overflow error at the
     # finiteness check, so the intermediate numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if p.alpha == 1.0:
-            _classical(run, y)
-        elif p.scheme == GRUNWALD_LETNIKOV:
-            _gl_fractional(F, y, p.step, p.alpha, window)
-        else:
-            _pece_fractional(F, y, p.step, p.alpha, window)
+        run, histories = build(p, values, y, window)
+        base = functools.partial(_drive, run, y)
+        if histories:
+            _nested(0, len(y), base, histories)
+        else:  # no history to spill: plain blocks of rows
+            for a in range(0, len(y), ROW_BLOCK):
+                base(a, min(a + ROW_BLOCK, len(y)))
     meta = {
         "variables": list(p.variables),
         "alpha": p.alpha,

@@ -3,6 +3,7 @@ problem, and frequency measurement."""
 
 import json
 import math
+import operator
 import pathlib
 import warnings
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsymp import dynamics
 from fracsymp.dynamics import (
     BASE,
     GRUNWALD_LETNIKOV,
@@ -30,7 +32,7 @@ from fracsymp.dynamics import (
     simulate_landau,
 )
 from fracsymp.expr import ExprError, compile_expr, evaluate, parse_expression
-from fracsymp.frac import gamma
+from fracsymp.frac import gamma, product_weights
 from fracsymp.modelfile import parse_model_file
 from fracsymp.symplectic import fractional_equations_of_motion
 
@@ -167,12 +169,12 @@ def _classical_oracle(p):
     return y
 
 
-def _anharmonic4(steps, scheme):
+def _anharmonic4(steps, scheme, alpha=1.0):
     model = parse_model_file(str(GOLDEN / "anharmonic4.model")).model
     rhs = tuple(e for _, e in fractional_equations_of_motion(model))
-    return FractionalIVP(model.variables, rhs, 1.0, (0.5, -0.4, 0.2, 0.1),
+    return FractionalIVP(model.variables, rhs, alpha, (0.5, -0.4, 0.2, 0.1),
                          steps * 1e-3, 1e-3, scheme=scheme,
-                         constants={**model.constants, "alpha": 1.0})
+                         constants={**model.constants, "alpha": alpha})
 
 
 # The generated loop writes its rows in blocks of 256: runs end just before,
@@ -185,6 +187,147 @@ def test_classical_loop_matches_stepped_closures(steps, scheme):
     for p in (_anharmonic4(steps, scheme), landau):
         assert p.alpha == 1.0 and len(p.grid()) == steps + 1
         assert np.array_equal(integrate(p).states, _classical_oracle(p))
+
+
+# The fractional steps as closures over compile_expr's F and the history
+# sums, stepped on lists of Python floats and redone on float64 where those
+# raise: kept as the oracle for the loops integrate() generates with the
+# right-hand side inlined.  The arithmetic and every dot slice are the same,
+# in the same order, so every row must be equal bit for bit.
+
+_NOT_FLOAT64 = (OverflowError, ZeroDivisionError, TypeError)
+
+
+def _near(hist, a, n):
+    lo = max(a, hist.first, n - hist.m)
+    return hist.wr[hist.m - n + lo:].dot(hist.x[lo:n]).tolist()
+
+
+def _checked(row, n):
+    if not all(map(math.isfinite, row)):
+        raise Overflow("non-finite state at step %d" % n)
+    return row
+
+
+def _float_rows(step, F, y, first, stop):
+    cur = y[first - 1].tolist()
+    for n in range(first, stop):
+        try:
+            row = step(cur, n, F)
+        except _NOT_FLOAT64:
+            row = step(cur, n, lambda v: F(np.array(v)))
+        y[n] = cur = row
+
+
+def _gl_step(hist, a, b, ha, y0):
+    first = max(a, 1)
+    acc = hist.acc[first:b].tolist()
+
+    def step(cur, n, F):
+        out = []
+        for c, r, s in zip(acc[n - first], F(cur), _near(hist, a, n)):
+            out.append(c + ha * r - s)
+        hist.x[n] = list(map(operator.sub, _checked(out, n), y0))
+        return out
+
+    return step
+
+
+def _pece_step(pred, corr, a0, a, b, window):
+    first = max(a, 1)
+    rates = pred.x
+    accp = pred.acc[first:b].tolist()
+    accc = corr.acc[first:b].tolist()
+    anchor = np.outer(a0[first:b], rates[0]).tolist()
+
+    def step(cur, n, F):
+        sc = _near(corr, a, n)
+        if n <= window:
+            sc = map(operator.add, anchor[n - first], sc)
+        guess = []
+        for c, s in zip(accp[n - first], _near(pred, a, n)):
+            guess.append(c + pred.scale * s)
+        out = []
+        for c, s, r in zip(accc[n - first], sc, F(_checked(guess, n))):
+            out.append(c + corr.scale * (s + r))
+        rates[n] = list(map(float, F(_checked(out, n))))
+        return out
+
+    return step
+
+
+def _stepped_fractional(p, window):
+    F = compile_expr(p.rhs, p.variables, p.constants)
+    y = np.zeros((len(p.grid()), p.dimension))
+    y[0] = p.initial
+    steps = len(y) - 1
+    window = window or steps
+    m = min(steps, window)
+    h, alpha = p.step, p.alpha
+    y[1:] = y[0]
+    x = np.zeros_like(y)
+    if p.scheme == GRUNWALD_LETNIKOV:
+        hist = dynamics._History(dynamics._gl_weights(alpha, m), x, y, -1.0)
+        hists = (hist,)
+        ha, y0 = h ** alpha, y[0].tolist()
+
+        def base(a, b):
+            _float_rows(_gl_step(hist, a, b, ha, y0), F, y, max(a, 1), b)
+    else:
+        d2, a0 = product_weights(alpha, m)
+        hists = (dynamics._History(np.diff(np.arange(m + 1.0) ** alpha,
+                                           prepend=0.0), x, y,
+                                   h ** alpha / gamma(alpha + 1.0)),
+                 dynamics._History(np.concatenate(([0.0], d2)), x, y.copy(),
+                                   h ** alpha / gamma(alpha + 2.0), first=1))
+        x[0] = F(y[0])
+
+        def base(a, b):
+            _float_rows(_pece_step(*hists, a0, a, b, window), F, y,
+                        max(a, 1), b)
+    dynamics._nested(0, len(y), base, hists)
+    return y
+
+
+# Runs end just before, on and just past the first leaf block of BASE steps,
+# and one spans several leaf blocks and FFT spills; windows are none, one
+# shorter than a leaf block and one as long.
+@pytest.mark.parametrize("scheme", [GRUNWALD_LETNIKOV, PREDICTOR_CORRECTOR])
+@pytest.mark.parametrize("steps", [BASE - 1, BASE, BASE + 1, 3 * BASE + 5])
+def test_fractional_loops_match_stepped_closures(steps, scheme):
+    landau = landau_problem(1.0, 2.0, 1.0, 0.6, 0.3 + 0.1j, 0.5 - 0.2j,
+                            steps * 1e-2, 1e-2,
+                            composition=SEQUENTIAL_ALPHA_ALPHA, scheme=scheme)
+    decay = ivp(("q",), ("-q",), 0.6, (1.0,), steps * 1e-2, 1e-2,
+                scheme=scheme)
+    for p in (decay, _anharmonic4(steps, scheme, alpha=0.6), landau):
+        assert len(p.grid()) == steps + 1
+        for window in (None, BASE // 3, BASE):
+            assert np.array_equal(integrate(p, window).states,
+                                  _stepped_fractional(p, window)), (
+                p.variables, window)
+
+
+# Every loop has the right-hand side written inline; only the
+# predictor-corrector calls compile_expr's F, once, for the rate at t = 0.
+@pytest.mark.parametrize("alpha, scheme, calls", [
+    (0.5, GRUNWALD_LETNIKOV, 0), (0.5, PREDICTOR_CORRECTOR, 1),
+    (1.0, GRUNWALD_LETNIKOV, 0), (1.0, PREDICTOR_CORRECTOR, 0)])
+def test_right_hand_side_calls(monkeypatch, alpha, scheme, calls):
+    count = []
+    compiled_rhs = FractionalIVP.compiled_rhs
+
+    def counted(ivp):
+        return [lambda y, F=F: count.append(1) or F(y)
+                for F in compiled_rhs(ivp)]
+
+    monkeypatch.setattr(FractionalIVP, "compiled_rhs", counted)
+    p = landau_problem(1.0, 2.0, 1.0, alpha, 0.3 + 0.1j, 0.5 - 0.2j,
+                       (3 * BASE + 5) * 1e-2, 1e-2,
+                       composition=SEQUENTIAL_ALPHA_ALPHA, scheme=scheme)
+    assert p.alpha == alpha
+    integrate(p)
+    assert len(count) == calls
 
 
 # -- fractional schemes ------------------------------------------------------
@@ -414,11 +557,13 @@ def test_overflow_step_where_block_sums_pass_the_float_range():
             integrate(p)
 
 
-# the four runs of 10 steps keep their ids; at h = 4e-4 a classical run
-# overflows on every one of 2500 steps, past step 1024
+# the four runs of 10 steps keep their ids; at h = 4e-4 a run overflows on
+# every one of 2500 steps, past step 1024 of a classical run and past the
+# first leaf block of a fractional one
 _ABSORBED = [(1.0, GRUNWALD_LETNIKOV, 0.1), (1.0, PREDICTOR_CORRECTOR, 0.1),
              (0.5, GRUNWALD_LETNIKOV, 0.1), (0.5, PREDICTOR_CORRECTOR, 0.1),
-             (1.0, GRUNWALD_LETNIKOV, 4e-4), (1.0, PREDICTOR_CORRECTOR, 4e-4)]
+             (1.0, GRUNWALD_LETNIKOV, 4e-4), (1.0, PREDICTOR_CORRECTOR, 4e-4),
+             (0.5, GRUNWALD_LETNIKOV, 4e-4), (0.5, PREDICTOR_CORRECTOR, 4e-4)]
 
 
 @pytest.mark.parametrize("alpha, scheme, h", _ABSORBED, ids=[
