@@ -13,6 +13,7 @@ readable.  All JSON is rendered deterministically: fixed key order and
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import replace
@@ -123,12 +124,11 @@ def cmd_quantize(args) -> int:
         sys.stderr.write(modelfile.render_model(model, doc.gauge_conditions))
     chain, table = symplectic.fj_iterate(
         model, gauge_conditions=doc.gauge_conditions)
+    texts = [[to_text(c) for c in level.constraints] for level in chain.levels]
     log = ["status: %s" % chain.status]
-    for i, level in enumerate(chain.levels, 1):
-        cons = ", ".join(to_text(c) for c in level.constraints)
-        mults = ", ".join(level.multipliers)
+    for i, (level, cons) in enumerate(zip(chain.levels, texts), 1):
         log.append("level %d: constraints [%s] via multipliers [%s]"
-                   % (i, cons, mults))
+                   % (i, ", ".join(cons), ", ".join(level.multipliers)))
     for note in chain.notes:
         log.append("note: %s" % note)
     sys.stderr.write("".join(line + "\n" for line in log))
@@ -136,10 +136,10 @@ def cmd_quantize(args) -> int:
         "status": chain.status,
         "levels": [
             {
-                "constraints": [to_text(c) for c in level.constraints],
+                "constraints": cons,
                 "multipliers": list(level.multipliers),
             }
-            for level in chain.levels
+            for level, cons in zip(chain.levels, texts)
         ],
         "notes": list(chain.notes),
         "table": None if table is None else table.to_json_dict(),
@@ -224,8 +224,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reads every command line with: built on the first
+    call, not at import, and kept, since parsing a command line leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (FracsympError, OSError, ValueError) as exc:

@@ -11,7 +11,12 @@ Each node computes its hash and its sort key (type rank, repr) once, on
 first use, and keeps them, so sorting and merging monomials does not walk
 the trees again.  A compound node likewise keeps its polynomial dict for
 the last `positive` set it was converted under; that dict is shared by
-every caller and must not be mutated.  Inside the polynomial dicts of
+every caller and must not be mutated.  A compound node kept opaque under
+a power keeps the one tree its monomials share as their base, and an
+opaque factor (a sum, product or power base, or a Gamma factor) keeps its
+parenthesised text, so a denominator that every term of a bracket shares
+is rebuilt and rendered once.  All of this is safe because nodes are
+immutable: a stored value never goes stale.  Inside the polynomial dicts of
 `simplify` an exponent is a `Fraction` or a plain `int` (an atom enters
 with exponent 1); nodes always hold `Fraction`s, so trees, text and JSON
 are the same either way.
@@ -82,7 +87,7 @@ class Expr:
     children's.  Every order and every dict is the one the dataclass
     methods would give."""
 
-    __slots__ = ("_hash", "_key", "_poly")
+    __slots__ = ("_hash", "_key", "_poly", "_opaque", "_text")
 
     def __hash__(self):
         try:
@@ -386,11 +391,12 @@ def _compound_poly(e: Expr, positive: frozenset) -> dict:
             out = _poly_mul(out, _to_poly(f, positive))
         return out
     if isinstance(e, Power):
-        return _power_poly(_to_poly(e.base, positive), e.exponent, positive)
+        return _power_poly(e.base, e.exponent, positive)
     raise TypeError(f"unknown node {e!r}")
 
 
-def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
+def _power_poly(base: Expr, r: Fraction, positive: frozenset) -> dict:
+    p = _to_poly(base, positive)
     if r == 0:
         return {(): _ONE}
     if r == 1:
@@ -420,7 +426,21 @@ def _power_poly(p: dict, r: Fraction, positive: frozenset) -> dict:
             return {_sorted_mono(pairs): coeff}
     # a multi-term base under a negative integer or any fractional power,
     # or a base not known to be positive, stays one opaque factor
-    return {((_rebuild(p), r),): _ONE}
+    return {((_opaque_base(base, p, positive), r),): _ONE}
+
+
+def _opaque_base(base: Expr, p: dict, positive: frozenset) -> Expr:
+    """`_rebuild(p)` for the dict p of `base` under `positive`.  A compound
+    base keeps the tree it was last rebuilt to under that set, so every
+    power of it (one per term of a table entry, say) shares one tree."""
+    if isinstance(base, (Constant, Variable, SymbolicConstant)):
+        return _rebuild(p)
+    memo = getattr(base, "_opaque", None)
+    if memo is not None and memo[0] == positive:
+        return memo[1]
+    tree = _rebuild(p)
+    object.__setattr__(base, "_opaque", (positive, tree))
+    return tree
 
 
 def _rebuild(p: dict) -> Expr:
@@ -908,24 +928,39 @@ def _exp_text(r: Fraction) -> str:
 def _atom_text(b: Expr) -> str:
     if isinstance(b, (Variable, SymbolicConstant)):
         return b.name
-    if isinstance(b, GammaFactor):
-        return f"Gamma({to_text(b.arg)})"
     if isinstance(b, Constant):
         v = b.value
         if v >= 0 and v.denominator == 1:
             return str(v.numerator)
         return f"({_frac_text(v)})"
-    if isinstance(b, (Sum, Product, Power)):
+    if isinstance(b, Power):
         return f"({to_text(b)})"
-    raise TypeError(f"unknown node {b!r}")
+    return _opaque_text(b)
+
+
+def _opaque_text(b: Expr) -> str:
+    """The text of a Gamma factor, or of a sum, product or power as the
+    base of a factor, parenthesised; kept on the node after the first
+    call."""
+    try:
+        return b._text
+    except AttributeError:
+        pass
+    if isinstance(b, GammaFactor):
+        text = f"Gamma({to_text(b.arg)})"
+    elif isinstance(b, Power):
+        # nested irreducible power kept opaque, e.g. (q^2)^(1/2)
+        text = f"({_atom_text(b.base)}^{_exp_text(b.exponent)})"
+    elif isinstance(b, (Sum, Product)):
+        text = f"({to_text(b)})"
+    else:
+        raise TypeError(f"unknown node {b!r}")
+    object.__setattr__(b, "_text", text)
+    return text
 
 
 def _factor_text(b: Expr, e: Fraction) -> str:
-    if isinstance(b, Power):
-        # nested irreducible power kept opaque, e.g. (q^2)^(1/2)
-        inner = f"({_atom_text(b.base)}^{_exp_text(b.exponent)})"
-        return inner if e == 1 else f"{inner}^{_exp_text(e)}"
-    base = _atom_text(b)
+    base = _opaque_text(b) if isinstance(b, Power) else _atom_text(b)
     return base if e == 1 else f"{base}^{_exp_text(e)}"
 
 

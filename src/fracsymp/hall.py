@@ -16,6 +16,7 @@ coordinates alone whose quantization makes the coordinates noncommutative.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -113,32 +114,48 @@ class FractionalityEstimate:
         return asdict(self)
 
 
+def _model_order(s: HallScenario) -> float | None:
+    """The scenario's order, refused at zero, where no Model exists."""
+    if s.alpha is not None and s.alpha == 0.0:
+        raise HallError("no model at order zero; use a positive alpha")
+    return s.alpha
+
+
 def build_landau_model(s: HallScenario) -> Model:
     """First-order Model for the scenario's regime: the bundled document
     (`landau_strong.model` or `landau_full.model`) with the scenario's
     order and its e and B, plus m for full dynamics."""
-    if s.alpha is not None and s.alpha == 0.0:
-        raise HallError("no model at order zero; use a positive alpha")
+    alpha = _model_order(s)
     name = "landau_strong.model"
     constants = {"e": float(s.e), "B": float(s.B)}
     if s.regime == FULL_DYNAMICS:
         name = "landau_full.model"
         constants["m"] = float(s.m)
     doc = parse_model_file(os.path.join(_MODELS, name))
-    return replace(doc.model, alpha=s.alpha, constants=constants)
+    return replace(doc.model, alpha=alpha, constants=constants)
 
 
 def quantize_strong_field(s: HallScenario) -> BracketTable:
     """Run the symplectic iteration on the strong-field model.
 
     The form is already nonsingular, so the chain terminates immediately
-    and the table holds {r1, r2} = 1 / (e B Gamma(1 + alpha)).
+    and the table holds {r1, r2} = 1 / (e B Gamma(1 + alpha)).  e and B
+    stay symbols in the table, so it depends on the order alone and is
+    made once per order (`_strong_field_table`).
     """
     if s.regime != STRONG_FIELD:
         raise OutOfRegime("quantization shortcut applies to the strong-field "
                           "regime only")
-    model = build_landau_model(s)
-    chain, table = fj_iterate(model)
+    return _strong_field_table(_model_order(s))
+
+
+@functools.lru_cache(maxsize=16)
+def _strong_field_table(alpha: float | None) -> BracketTable:
+    """The strong-field table at order alpha, from the bundled document as
+    it stands: the iteration never reads the values of e and B.  Kept and
+    shared, since a table and its expressions are immutable."""
+    doc = parse_model_file(os.path.join(_MODELS, "landau_strong.model"))
+    chain, table = fj_iterate(replace(doc.model, alpha=alpha))
     if table is None:
         raise HallError("strong-field model did not terminate regular: %s"
                         % chain.status)

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import fracsymp
-from fracsymp.cli import main
+from fracsymp.cli import build_parser, main
 
 MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
 
@@ -450,3 +450,16 @@ def test_successive_calls_share_no_state(capsys):
     assert "expected one argument" in capsys.readouterr().err
     assert run(capsys, "quantize", model("canonical_pair")) == \
         (0, out, "status: regular\n")
+
+
+def test_build_parser_returns_a_new_parser_each_call(capsys):
+    """`main` keeps one parser; `build_parser` still makes a new one, which
+    reads a command line as `main` does."""
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    args = first.parse_args(["report-hall", "--alpha", "-1e-3"])
+    assert (args.command, args.alpha, args.e) == ("report-hall", -0.001, 1.0)
+    with pytest.raises(SystemExit) as exc:
+        second.parse_args(["quantize"])
+    assert exc.value.code == 1
+    assert "required: model" in capsys.readouterr().err

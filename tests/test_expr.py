@@ -442,10 +442,12 @@ _NO_POSITIVE, _Q_POSITIVE = frozenset(), frozenset({"q"})
 
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
+@example(parse("(1 + (q^2)^(1/2))^(1/2)"))
 def test_polynomial_memo_matches_fresh_conversion(e):
     """`_to_poly` through a node's stored form equals the conversion of an
     equal twin of new nodes, while `positive` switches on the same node and
-    the children were last converted under the other set."""
+    the children were last converted under the other set.  The example's
+    opaque base rebuilds to a different tree under each set."""
     try:
         for c in _children(e):
             _to_poly(c, _Q_POSITIVE)
@@ -486,3 +488,32 @@ def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
     for n in converted:
         positive, poly = n._poly
         assert poly == _to_poly(_rebuilt(n), positive), n
+
+
+# -- stored texts and shared opaque bases ----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+@example(parse("x*(1 + q)^(-1) - Gamma(1 + k)*((q^2)^(1/2))^(1/3)"))
+def test_rendered_node_equals_an_unrendered_twin(e):
+    """A tree and its canonical form, once rendered and so holding the
+    stored texts of their opaque factors, are ==, hash-equal and
+    repr-equal to equal trees of new nodes, and render as they do."""
+    for tree in (e, _canonical(e)):
+        twin = _rebuilt(tree)
+        text = to_text(tree)
+        _assert_stored_values_fresh(tree)
+        assert twin == tree and hash(twin) == hash(tree)
+        assert repr(twin) == repr(tree)
+        assert to_text(twin) == to_text(tree) == text
+
+
+def test_powers_of_one_opaque_base_share_one_tree():
+    """Every power of one compound base kept opaque converts to the same
+    base tree, so its text is rendered once for all the terms."""
+    d = parse("1 + q + k")
+    e = simplify(Sum((Product((var("x"), Power(d, -1))),
+                      Product((var("p"), Power(d, -2))))))
+    assert to_text(e) == "p*(1 + k + q)^(-2) + x*(1 + k + q)^(-1)"
+    bases = [f.base for t in e.terms for f in t.factors if isinstance(f, Power)]
+    assert len(bases) == 2 and bases[0] is bases[1]

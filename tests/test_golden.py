@@ -48,6 +48,10 @@ MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TRAJ = GOLDEN / "traj"
 
+
+def _golden(name: str) -> str:
+    return (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
+
 CASES = {
     "canonical_pair": (MODELS / "canonical_pair.model", 0),
     "constrained_3d": (MODELS / "constrained_3d.model", 0),
@@ -67,9 +71,7 @@ CASES = {
 def test_quantize_stdout_matches_golden(name, capsys):
     path, code = CASES[name]
     assert main(["quantize", str(path)]) == code
-    out, _ = capsys.readouterr()
-    want = (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
-    assert out == want
+    assert capsys.readouterr().out == _golden(name)
 
 
 REPORTS = {
@@ -88,7 +90,28 @@ def test_hall_stdout_matches_golden(name, capsys):
     assert main(list(REPORTS[name])) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out == (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
+    assert out == _golden(name)
+
+
+def test_goldens_hold_in_either_order_in_one_process(capsys):
+    """The parser, the strong-field table and the stored node texts that
+    one process keeps carry nothing from one command to the next: every
+    quantize and report golden, run in order, then after a usage error in
+    reverse order, prints its golden bytes.  Both strong-field reports run
+    each way, so the table cannot hold the e and B of the run before."""
+    runs = [(["quantize", str(path)], code, name)
+            for name, (path, code) in sorted(CASES.items())]
+    runs += [(list(argv), 0, name) for name, argv in sorted(REPORTS.items())]
+    for argv, code, name in runs:
+        assert main(argv) == code, name
+        assert capsys.readouterr().out == _golden(name), name
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", str(CASES["canonical_pair"][0]), "--alpha"])
+    assert exc.value.code == 1
+    assert "expected one argument" in capsys.readouterr().err
+    for argv, code, name in reversed(runs):
+        assert main(argv) == code, name
+        assert capsys.readouterr().out == _golden(name), name
 
 
 _LANDAU = ("--landau", "1", "2", "1", "--alpha", "0.7", "--T", "1", "--h", "1e-2",

@@ -28,6 +28,7 @@ from fracsymp.hall import (
     strong_field_bracket_first_order,
 )
 from fracsymp.modelfile import parse_model_file
+from fracsymp.symplectic import fj_iterate
 
 EULER_GAMMA = 0.5772156649015329
 MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
@@ -106,6 +107,30 @@ def test_quantize_requires_strong_field_regime():
     s = HallScenario(1.0, 1.0, 1.0, 1.0, 0.8, FULL_DYNAMICS)
     with pytest.raises(OutOfRegime):
         quantize_strong_field(s)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3, 1.0])
+def test_strong_field_table_depends_on_the_order_alone(alpha):
+    """Scenarios that differ only in e and B share one table, and it is the
+    table the iteration gives afresh on the model with their e and B."""
+    fields = [(1.0, 1.0), (2.5, -1.5), (-0.25, 4.0)]
+    tables = [quantize_strong_field(strong(alpha, e, B)) for e, B in fields]
+    for (e, B), table in zip(fields, tables):
+        _, fresh = fj_iterate(build_landau_model(strong(alpha, e, B)))
+        assert table == fresh
+        assert table.to_json_dict() == fresh.to_json_dict()
+
+
+def test_refusals_precede_the_stored_table():
+    quantize_strong_field(strong())
+    quantize_strong_field(strong(alpha=0.3))
+    with pytest.raises(HallError, match="order zero"):
+        quantize_strong_field(strong(alpha=0.0))
+    with pytest.raises(HallError, match="order zero"):
+        build_landau_model(strong(alpha=0.0))
+    with pytest.raises(OutOfRegime):
+        quantize_strong_field(HallScenario(1.0, 1.0, 1.0, 1.0, None,
+                                           FULL_DYNAMICS))
 
 
 def test_first_order_bracket_expansion():
