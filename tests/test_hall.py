@@ -122,12 +122,12 @@ def test_strong_field_table_depends_on_the_order_alone(alpha):
 
 
 def test_refusals_precede_the_stored_table():
+    """With tables stored, order zero and the full-dynamics regime are
+    still refused."""
     quantize_strong_field(strong())
     quantize_strong_field(strong(alpha=0.3))
     with pytest.raises(HallError, match="order zero"):
         quantize_strong_field(strong(alpha=0.0))
-    with pytest.raises(HallError, match="order zero"):
-        build_landau_model(strong(alpha=0.0))
     with pytest.raises(OutOfRegime):
         quantize_strong_field(HallScenario(1.0, 1.0, 1.0, 1.0, None,
                                            FULL_DYNAMICS))
