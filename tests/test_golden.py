@@ -19,6 +19,11 @@ that the row scaling and the rational exponents of the exact elimination
 are pinned.  Any change to a canonical form, to the constraint
 iteration or to the JSON rendering shows up here as a byte difference.
 
+`tests/golden/dense_family.json` holds 60 seeded dense models, drawn as
+`bench/workloads.dense_model(random.Random(seed), n, symbolic)` for seeds
+1-10, n in {5, 6, 7}, numeric and symbolic order: each model's text, its
+exit code and the SHA-1 of what `quantize` printed for it.
+
 `tests/golden/<name>.json` also holds what `report-hall` and
 `estimate-alpha` printed for each run in REPORTS: the strong-field report at
 the default charge and field and at e = 2.5, B = 1.5, and the order estimate
@@ -37,6 +42,8 @@ exponent form, and `canonical_pair_zeros`, from (0, -0.0), has 101 `-0`
 cells.
 """
 
+import hashlib
+import json
 import pathlib
 
 import pytest
@@ -72,6 +79,16 @@ def test_quantize_stdout_matches_golden(name, capsys):
     path, code = CASES[name]
     assert main(["quantize", str(path)]) == code
     assert capsys.readouterr().out == _golden(name)
+
+
+def test_dense_family_quantize_digests_match_golden(tmp_path, capsys):
+    path = tmp_path / "dense.model"
+    for case in json.loads(_golden("dense_family")):
+        label = "seed %(seed)d n %(n)d symbolic %(symbolic)s" % case
+        path.write_text(case["model"])
+        assert main(["quantize", str(path)]) == case["exit"], label
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha1(out).hexdigest() == case["stdout_sha1"], label
 
 
 REPORTS = {
