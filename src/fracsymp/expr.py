@@ -11,11 +11,15 @@ Each node computes its hash and its sort key (type rank, repr) once, on
 first use, and keeps them, so sorting and merging monomials does not walk
 the trees again.  A compound node likewise keeps its polynomial dict for
 the last `positive` set it was converted under; that dict is shared by
-every caller and must not be mutated.  A compound node kept opaque under
-a power keeps the one tree its monomials share as their base, and an
-opaque factor (a sum, product or power base, or a Gamma factor) keeps its
-parenthesised text, so a denominator that every term of a bracket shares
-is rebuilt and rendered once.  All of this is safe because nodes are
+every caller and must not be mutated.  A tree that `_rebuild` builds from
+a dict keeps that dict for every `positive` set instead, when each factor
+of it converts back unchanged under every set, so the next `simplify`,
+`diff` or rescaling of a canonical tree reads it rather than walking the
+tree.  A compound node kept opaque under a power keeps the one tree its
+monomials share as their base, and an opaque factor (a sum, product or
+power base, or a Gamma factor) keeps its parenthesised text, so a
+denominator that every term of a bracket shares is rebuilt and rendered
+once.  All of this is safe because nodes are
 immutable: a stored value never goes stale.  Inside the polynomial dicts of
 `simplify` an exponent is a `Fraction` or a plain `int` (an atom enters
 with exponent 1); nodes always hold `Fraction`s, so trees, text and JSON
@@ -220,6 +224,17 @@ def gamma_of(e) -> GammaFactor:
 # (multi-term sums under a non-expandable power, non-positive bases under a
 # fractional power, non-perfect rational roots of constants).
 #
+# A compound tree that `_rebuild` builds keeps its dict for every
+# `positive` set when each factor round-trips (`_round_trips`): a
+# variable, a symbolic constant, a Gamma factor whose argument is an atom
+# or keeps such a dict, or a sum that keeps such a dict under a negative or
+# fractional exponent.  Converting the tree would give the same dict under
+# any set.  Every other base (a constant root, a power or product base, a
+# sum at a positive integer power) leaves the tree to the per-set memo of
+# `_to_poly`.  `diff` differentiates a kept dict directly, factor by factor
+# and through each sum base's own kept dict, and cancels and rebuilds the
+# result as `simplify` does.
+#
 # The arithmetic treats a constant base like any other symbol, so that
 # 2^(1/2)*2^(1/2) is the monomial 2^1 and exact division stays exact in
 # that ring.  `_fold_constants` multiplies such integer powers out; it runs
@@ -358,13 +373,14 @@ def _is_positive_base(b: Expr, positive: frozenset) -> bool:
 def _to_poly(e: Expr, positive: frozenset) -> dict:
     """The polynomial dict of e.  A compound node keeps its dict with the
     `positive` set it was made under and returns it again for an equal set,
-    so the dict is read-only; atoms are cheaper to convert than to look up."""
+    or for every set when `_rebuild` kept it, so the dict is read-only;
+    atoms are cheaper to convert than to look up."""
     if isinstance(e, Constant):
         return {(): e.value} if e.value else {}
     if isinstance(e, (Variable, SymbolicConstant)):
         return {((e, 1),): _ONE}
     memo = getattr(e, "_poly", None)
-    if memo is not None and memo[0] == positive:
+    if memo is not None and (memo[0] is None or memo[0] == positive):
         return memo[1]
     p = _compound_poly(e, positive)
     object.__setattr__(e, "_poly", (positive, p))
@@ -435,6 +451,8 @@ def _opaque_base(base: Expr, p: dict, positive: frozenset) -> Expr:
     power of it (one per term of a table entry, say) shares one tree."""
     if isinstance(base, (Constant, Variable, SymbolicConstant)):
         return _rebuild(p)
+    if _kept_poly(base) is not None:
+        return base  # `_rebuild(p)` would build an equal tree
     memo = getattr(base, "_opaque", None)
     if memo is not None and memo[0] == positive:
         return memo[1]
@@ -443,7 +461,33 @@ def _opaque_base(base: Expr, p: dict, positive: frozenset) -> Expr:
     return tree
 
 
+def _kept_poly(e: Expr):
+    """The dict `_rebuild` kept on e for every `positive` set, or None."""
+    memo = getattr(e, "_poly", None)
+    return memo[1] if memo is not None and memo[0] is None else None
+
+
+def _round_trips(b: Expr, e) -> bool:
+    """Whether the factor b^e of a monomial converts back to b^e under
+    every `positive` set.  Each base that does is canonical already: an
+    atom, a Gamma factor of an atom or of a tree with a kept dict, or a sum
+    with a kept dict under an exponent that `_power_poly` keeps opaque.  A
+    constant root, a power or product base, or a sum at a positive integer
+    power converts otherwise, or depends on the set."""
+    if isinstance(b, (Variable, SymbolicConstant)):
+        return True
+    if isinstance(b, GammaFactor):
+        return (isinstance(b.arg, (Constant, Variable, SymbolicConstant))
+                or _kept_poly(b.arg) is not None)
+    if isinstance(b, Sum):
+        return (e < 0 or e.denominator != 1) and _kept_poly(b) is not None
+    return False
+
+
 def _rebuild(p: dict) -> Expr:
+    """The canonical tree of p.  A compound tree built here keeps p as its
+    dict under every `positive` set when each factor of p round-trips, so p
+    is shared from then on and its caller must not mutate it."""
     p = _fold_constants(p)
     if not p:
         return ZERO
@@ -460,8 +504,15 @@ def _rebuild(p: dict) -> Expr:
         else:
             terms.append(Product(tuple([Constant(c)] + factors)))
     if len(terms) == 1:
-        return terms[0]
-    return Sum(tuple(terms))
+        (mono, c), = p.items()
+        if not mono or (c == 1 and len(mono) == 1 and mono[0][1] == 1):
+            return terms[0]  # a constant, or the one base of p itself
+        tree = terms[0]
+    else:
+        tree = Sum(tuple(terms))
+    if all(_round_trips(b, e) for mono in p for b, e in mono):
+        object.__setattr__(tree, "_poly", (None, p))
+    return tree
 
 
 # -- exact Laurent-polynomial division ---------------------------------------
@@ -691,10 +742,15 @@ def simplify(e: Expr, positive: Iterable[str] = ()) -> Expr:
     licenses collapsing nested rational powers such as (q^2)^(1/2) -> q.
     """
     pos = frozenset(positive)
-    p = _to_poly(e, pos)
+    return _rebuild(_cancelled(_to_poly(e, pos), pos))
+
+
+def _cancelled(p: dict, positive: frozenset) -> dict:
+    """p with each multi-term denominator cancelled where it divides: the
+    dict `simplify` rebuilds its canonical tree from."""
     if any(isinstance(b, Sum) and ex < 0 for mono in p for b, ex in mono):
-        p = _cancel_denominators(p, pos)
-    return _rebuild(p)
+        return _cancel_denominators(p, positive)
+    return p
 
 
 def _names(e: Expr, kinds) -> frozenset:
@@ -734,9 +790,7 @@ def _diff_node(e: Expr, name: str) -> Expr:
     if isinstance(e, Variable):
         return ONE if e.name == name else ZERO
     if isinstance(e, GammaFactor):
-        if name in free_names(e.arg):
-            raise NonDifferentiable(
-                f"gamma factor depends on '{name}'; it is kept opaque")
+        _check_gamma(e, name)
         return ZERO
     if isinstance(e, Sum):
         return Sum(tuple(_diff_node(t, name) for t in e.terms))
@@ -753,8 +807,55 @@ def _diff_node(e: Expr, name: str) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
+def _check_gamma(g: GammaFactor, name: str):
+    """Raise NonDifferentiable when the argument of g holds `name`."""
+    if name in free_names(g.arg):
+        raise NonDifferentiable(
+            f"gamma factor depends on '{name}'; it is kept opaque")
+
+
+def _diff_poly(p: dict, name: str, parts: dict) -> dict:
+    """The derivative of a dict whose every factor round-trips: each
+    factor b^k of a monomial c*m gives c*k*b^(k-1)*db times the rest of m.
+    `parts` holds the derivative of each sum base met so far."""
+    out: dict = {}
+    for mono, c in p.items():
+        for i, (b, k) in enumerate(mono):
+            if isinstance(b, Variable):
+                if b.name != name:
+                    continue
+                db = {(): _ONE}
+            elif isinstance(b, Sum):
+                db = parts.get(b)
+                if db is None:
+                    db = parts[b] = _diff_poly(_kept_poly(b), name, parts)
+            else:  # a symbolic constant or a Gamma factor
+                if isinstance(b, GammaFactor):
+                    _check_gamma(b, name)
+                continue
+            lowered = ((b, k - 1),) if k != 1 else ()
+            rest = mono[:i] + lowered + mono[i + 1:]
+            ck = c * k
+            for m, d in db.items():
+                _accumulate(out, _mono_mul(rest, m), ck * d)
+    return out
+
+
 def diff(e: Expr, name: str, positive: Iterable[str] = ()) -> Expr:
-    return simplify(_diff_node(e, name), positive)
+    """The canonical derivative of e by the variable `name`.
+
+    A tree that keeps its dict for every `positive` set (`_rebuild`) is
+    differentiated on that dict, the derivative of a sum base coming from
+    the sum's own kept dict, and the result is cancelled and rebuilt as in
+    `simplify`.  Any other tree is differentiated as a tree by the product
+    rule and simplified; both give `simplify(_diff_node(e, name),
+    positive)`.  A Gamma factor whose argument holds `name` raises
+    NonDifferentiable."""
+    p = _kept_poly(e)
+    if p is None:
+        return simplify(_diff_node(e, name), positive)
+    pos = frozenset(positive)
+    return _rebuild(_cancelled(_diff_poly(p, name, {}), pos))
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:

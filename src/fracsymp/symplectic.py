@@ -29,6 +29,7 @@ from .expr import (
     ZERO,
     _ONE,
     _Packing,
+    _cancelled,
     _denominator_lcm,
     _divide,
     _poly_mul,
@@ -235,9 +236,11 @@ def _gamma_power(alpha: float | None, k: int) -> Expr:
 
 def _scaled(prefactor: Expr, e: Expr) -> Expr:
     """The canonical form of prefactor * e, for the one-monomial prefactor
-    of `_gamma_power` and a canonical e: a monomial shift of e's dict.
-    Times a unit monomial, no multi-term denominator of e divides its
-    numerator where it did not before, so `simplify` would cancel nothing."""
+    of `_gamma_power` and a canonical e: a monomial shift of e's dict,
+    which e keeps from its rebuild unless a factor of it converts per
+    `positive` set (`expr._rebuild`).  Times a unit monomial, no
+    multi-term denominator of e divides its numerator where it did not
+    before, so `simplify` would cancel nothing."""
     none = frozenset()
     return _rebuild(_poly_mul(_to_poly(prefactor, none), _to_poly(e, none)))
 
@@ -397,7 +400,14 @@ def assemble_form(m: Model) -> SymplecticForm:
 def invert_form(f: SymplecticForm):
     """Exact symbolic inverse from the form's elimination of [F | I].  At the
     end the left block is p_n I with p_n = sign * det F, and the right block
-    R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det."""
+    R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det.
+
+    The adjugate of an antisymmetric matrix is antisymmetric over any
+    commutative ring, so R is too, exactly as dicts: the diagonal is empty
+    and R_ji is -R_ij.  Each entry above the diagonal is simplified once,
+    and its canonical dict is rebuilt both as it is and negated, which is
+    what simplifying R_ji would give.  An R that is not antisymmetric
+    raises SymplecticError."""
     n = f.dimension
     if f.rank < n:
         raise SingularForm(f.null_basis)
@@ -405,10 +415,20 @@ def invert_form(f: SymplecticForm):
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
     inv_det = simplify(Power(det, Fraction(-1)))
     sign_c = Constant(Fraction(sign))
-    return tuple(
-        tuple(simplify(Product((sign_c, _rebuild(rows[i][n + j]), inv_det)))
-              for j in range(n))
-        for i in range(n))
+    none = frozenset()
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        if rows[i][n + i]:
+            raise SymplecticError("form is not antisymmetric")
+        for j in range(i + 1, n):
+            r = rows[i][n + j]
+            if rows[j][n + i] != {m: -c for m, c in r.items()}:
+                raise SymplecticError("form is not antisymmetric")
+            entry = Product((sign_c, _rebuild(r), inv_det))
+            d = _cancelled(_to_poly(entry, none), none)
+            out[i][j] = _rebuild(d)
+            out[j][i] = _rebuild({m: -c for m, c in d.items()})
+    return tuple(tuple(row) for row in out)
 
 
 def constraints_from_zero_modes(f: SymplecticForm, m: Model):

@@ -40,9 +40,10 @@ from fracsymp.expr import (
     var,
 )
 from fracsymp import expr
-from fracsymp.expr import _RANKS, _base_key, _to_poly
+from fracsymp.expr import _RANKS, _base_key, _diff_node, _kept_poly, _to_poly
 from fracsymp.frac import FracError
 from fracsymp.modelfile import parse_model_file
+from fracsymp import symplectic
 from fracsymp.symplectic import fj_iterate
 
 
@@ -440,14 +441,25 @@ def test_stored_key_and_hash_match_fresh_values(e):
 _NO_POSITIVE, _Q_POSITIVE = frozenset(), frozenset({"q"})
 
 
+def _assert_kept_dict_is_fresh(n):
+    kept = _kept_poly(n)
+    if kept is not None:
+        for positive in (_NO_POSITIVE, _Q_POSITIVE):
+            assert kept == _to_poly(_rebuilt(n), positive), (n, positive)
+            assert _to_poly(n, positive) is kept
+
+
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
 @example(parse("(1 + (q^2)^(1/2))^(1/2)"))
+@example(parse("x*(1 + q)^(-1) + Gamma(1 + k)*(1 + q^2)^(1/2)"))
 def test_polynomial_memo_matches_fresh_conversion(e):
     """`_to_poly` through a node's stored form equals the conversion of an
     equal twin of new nodes, while `positive` switches on the same node and
     the children were last converted under the other set.  The example's
-    opaque base rebuilds to a different tree under each set."""
+    opaque base rebuilds to a different tree under each set.  The canonical
+    form of the tree under either set, where it keeps a dict for every set,
+    keeps the twin's conversion under both."""
     try:
         for c in _children(e):
             _to_poly(c, _Q_POSITIVE)
@@ -456,8 +468,70 @@ def test_polynomial_memo_matches_fresh_conversion(e):
             assert got == _to_poly(_rebuilt(e), positive)
             if not isinstance(e, (Constant, Variable, SymbolicConstant)):
                 assert e._poly == (positive, got)
+        for positive in (_NO_POSITIVE, _Q_POSITIVE):
+            _assert_kept_dict_is_fresh(simplify(e, positive))
     except ZeroDivisionError:  # zero under a negative power
         assume(False)
+
+
+@pytest.mark.parametrize("text", [
+    "(q^2)^(1/2)",
+    "(1 + q)^(1/2)*(1 + q)^(1/2)*p",
+    "(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q",
+    "2^(1/2)*3^(1/2)",
+    "Gamma((p^2)^(1/2))*q",
+])
+def test_refused_base_keeps_no_dict_for_every_set(text):
+    """A power base, a sum at a positive integer power, a constant root,
+    or a Gamma factor of a tree without a kept dict converts otherwise or
+    depends on `positive`: its tree keeps only the per-set dict."""
+    for positive in (_NO_POSITIVE, _Q_POSITIVE):
+        s = simplify(parse(text), positive)
+        assert _kept_poly(s) is None, to_text(s)
+        assert _to_poly(s, positive) == _to_poly(_rebuilt(s), positive)
+
+
+def test_a_sum_base_alone_keeps_its_own_dict():
+    """(1 + q)^(1/2)*(1 + q)^(1/2) is the monomial (1 + q)^1, which
+    rebuilds to the base node itself; that node keeps its own dict."""
+    s = simplify(parse("(1 + q)^(1/2)*(1 + q)^(1/2)"))
+    assert to_text(s) == "1 + q"
+    assert _kept_poly(s) == _to_poly(parse("1 + q"), _NO_POSITIVE)
+
+
+def _derivative(e, name, positive, differentiate):
+    try:
+        return differentiate(e, name, positive)
+    except (FracsympError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_TREES)
+@example(parse("(1 + q)^(-1)"))
+@example(parse("Gamma(1 + alpha)*q"))
+@example(parse("Gamma(1 + q)"))
+@example(parse("Gamma(1 + q)*p"))
+@example(parse("(1 + q^2)^(1/2)"))
+@example(parse("(q + q^3)*(1 + q^2)^(-1)"))
+def test_diff_on_the_kept_dict_matches_the_tree_rule(e):
+    """For the canonical form s of a tree under {} and {q}, `diff` by q
+    and by p equals `simplify` of the product-rule tree of an equal twin
+    of new nodes (which keeps no dict), or both raise the same error:
+    `diff` on a kept dict is the tree rule's result, not an approximation.
+    Gamma(1 + q) raises NonDifferentiable by q either way."""
+    def by_tree(s, name, positive):
+        return simplify(_diff_node(_rebuilt(s), name), positive)
+
+    for positive in (_NO_POSITIVE, _Q_POSITIVE):
+        try:
+            s = simplify(e, positive)
+        except ZeroDivisionError:  # zero under a negative power
+            assume(False)
+        for name in ("q", "p"):
+            got = _derivative(s, name, positive, diff)
+            want = _derivative(s, name, positive, by_tree)
+            assert got == want, (to_text(s), name, positive)
 
 
 _TESTS = pathlib.Path(__file__).parent
@@ -470,24 +544,37 @@ def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
     bundled and golden model, the form stored on every node converted on the
     way, the table entries and the inverse's shared determinant among them,
     equals its recomputation from an equal twin, so no caller edited a
-    shared dict."""
-    converted = []
+    shared dict.  That covers both kinds: the dicts `_compound_poly` made
+    for one `positive` set, and those `_rebuild` kept for every set (checked
+    under both {} and {q}), such as the elimination's rows that
+    `invert_form` rebuilds."""
+    converted, kept = [], []
 
     def recording(e, positive, convert=expr._compound_poly):
         converted.append(e)
         return convert(e, positive)
 
+    def rebuilding(p, rebuild=expr._rebuild):
+        tree = rebuild(p)
+        if _kept_poly(tree) is not None:
+            kept.append(tree)
+        return tree
+
     monkeypatch.setattr(expr, "_compound_poly", recording)
+    monkeypatch.setattr(expr, "_rebuild", rebuilding)
+    monkeypatch.setattr(symplectic, "_rebuild", rebuilding)
     for path in _QUANTIZED:
         doc = parse_model_file(path)
         _, table = fj_iterate(doc.model, gauge_conditions=doc.gauge_conditions)
         if table is not None:
             table.to_json_dict()
     monkeypatch.undo()
-    assert len(converted) > 1000
+    assert len(converted) + len(kept) > 1000
     for n in converted:
         positive, poly = n._poly
         assert poly == _to_poly(_rebuilt(n), positive), n
+    for n in kept:
+        _assert_kept_dict_is_fresh(n)
 
 
 # -- stored texts and shared opaque bases ----------------------------------------

@@ -1,6 +1,7 @@
 """Symplectic analysis: form assembly, constraint iteration, bracket tables,
 coarse Hamilton-Jacobi flow, and the coarse Dirac bracket."""
 
+import json
 import math
 import pathlib
 import random
@@ -25,6 +26,7 @@ from fracsymp.expr import (
     SymbolicConstant,
     Variable,
     _poly_div,
+    _rebuild,
     _to_poly,
     evaluate,
     parse_expression,
@@ -33,7 +35,8 @@ from fracsymp.expr import (
     var,
 )
 from fracsymp.frac import gamma
-from fracsymp.modelfile import parse_model_file
+from fracsymp import symplectic
+from fracsymp.modelfile import parse_model_file, parse_model_text
 from fracsymp.serialize import render_json
 from fracsymp.symplectic import (
     GAUGE_THEORY,
@@ -44,6 +47,7 @@ from fracsymp.symplectic import (
     ModelError,
     RankDisagreement,
     SingularForm,
+    SymplecticError,
     CONVENTION,
     SymplecticForm,
     _eliminate,
@@ -691,6 +695,62 @@ def test_invert_form_raises_on_singular_entries():
     with pytest.raises(SingularForm) as err:
         invert_form(f)
     assert err.value.null_basis == f.null_basis
+
+
+def _per_entry_inverse(f):
+    """The inverse by one `simplify` per entry, sign * R_ij / det: the
+    formula `invert_form` used before it read the lower triangle from the
+    upper one."""
+    n = f.dimension
+    rows, _pivots, p, sign = f.elimination
+    det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
+    inv_det = simplify(Power(det, Fraction(-1)))
+    sign_c = Constant(Fraction(sign))
+    return tuple(
+        tuple(simplify(Product((sign_c, _rebuild(rows[i][n + j]), inv_det)))
+              for j in range(n))
+        for i in range(n))
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_invert_form_matches_the_per_entry_formula(monkeypatch):
+    """Every form that the iteration inverts for a bundled or golden model,
+    and for the 60 models of the dense-family golden, inverts to the trees
+    and texts of the per-entry formula."""
+    inverted = []
+
+    def recording(f, invert=invert_form):
+        got = invert(f)
+        inverted.append((f, got))
+        return got
+
+    monkeypatch.setattr(symplectic, "invert_form", recording)
+    docs = [parse_model_file(path) for path in
+            sorted(MODELS.glob("*.model")) + sorted(_GOLDEN.glob("*.model"))]
+    docs += [parse_model_text(case["model"]) for case in
+             json.loads((_GOLDEN / "dense_family.json").read_text())]
+    for doc in docs:
+        fj_iterate(doc.model, doc.gauge_conditions)
+    monkeypatch.undo()
+    assert len(inverted) >= 70
+    for f, got in inverted:
+        want = _per_entry_inverse(f)
+        assert got == want
+        assert [[to_text(e) for e in row] for row in got] == \
+            [[to_text(e) for e in row] for row in want]
+
+
+@pytest.mark.parametrize("entries", [
+    ((ZERO, ONE), (Constant(Fraction(2)), ZERO)),
+    ((ONE, ONE), (Constant(Fraction(-1)), ZERO)),
+], ids=["lower-not-negated", "nonzero-diagonal"])
+def test_invert_form_refuses_a_form_that_is_not_antisymmetric(entries):
+    f = SymplecticForm(entries)
+    assert f.rank == 2
+    with pytest.raises(SymplecticError, match="form is not antisymmetric"):
+        invert_form(f)
 
 
 def test_exact_division_recovers_quotient_under_a_monomial_order():
