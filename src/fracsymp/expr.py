@@ -8,19 +8,19 @@ fragment are mathematically equal iff their canonical forms are structurally
 equal.
 
 Each node computes its hash and its sort key (type rank, repr) once, on
-first use, and keeps them, so sorting and merging monomials does not walk
-the trees again.  A compound node likewise keeps its polynomial dict for
-the last `positive` set it was converted under; that dict is shared by
-every caller and must not be mutated.  A tree that `_rebuild` builds from
-a dict keeps that dict for every `positive` set instead, when each factor
-of it converts back unchanged under every set, so the next `simplify`,
-`diff` or rescaling of a canonical tree reads it rather than walking the
-tree.  A compound node kept opaque under a power keeps the one tree its
-monomials share as their base, and an opaque factor (a sum, product or
-power base, or a Gamma factor) keeps its parenthesised text, so a
-denominator that every term of a bracket shares is rebuilt and rendered
-once.  All of this is safe because nodes are
-immutable: a stored value never goes stale.  Inside the polynomial dicts of
+first use, and keeps them, so sorting and merging monomials does not
+walk the trees again.  A compound node likewise keeps its polynomial
+dict for the last `positive` set it was converted under; that dict is
+shared by every caller and must not be mutated.  A tree that `_rebuild`
+builds from a dict keeps that dict for every `positive` set instead,
+when each factor of it converts back unchanged under every set, so the
+next `simplify`, `diff` or rescaling of a canonical tree reads it rather
+than walking the tree.  A compound node kept opaque under a power keeps
+the one tree its monomials share as their base, and an opaque factor (a
+sum, product or power base, or a Gamma factor) keeps its parenthesised
+text, so a denominator that every term of a bracket shares is rebuilt
+and rendered once.  All of this is safe because nodes are immutable: a
+stored value never goes stale.  Inside the polynomial dicts of
 `simplify` an exponent is a `Fraction` or a plain `int` (an atom enters
 with exponent 1); nodes always hold `Fraction`s, so trees, text and JSON
 are the same either way.
@@ -225,13 +225,14 @@ def gamma_of(e) -> GammaFactor:
 # fractional power, non-perfect rational roots of constants).
 #
 # A compound tree that `_rebuild` builds keeps its dict for every
-# `positive` set when each factor round-trips (`_round_trips`): a
-# variable, a symbolic constant, a Gamma factor whose argument is an atom
-# or keeps such a dict, or a sum that keeps such a dict under a negative or
-# fractional exponent.  Converting the tree would give the same dict under
-# any set.  Every other base (a constant root, a power or product base, a
-# sum at a positive integer power) leaves the tree to the per-set memo of
-# `_to_poly`.  `diff` differentiates a kept dict directly, factor by factor
+# `positive` set when each factor round-trips, that is, converts back to
+# itself under any set: a variable, a symbolic constant, a Gamma factor
+# whose argument is an atom or keeps such a dict, or a sum that keeps such
+# a dict under a negative or fractional exponent.  Any other base leaves
+# the tree to the per-set memo of `_to_poly`: a power or product base,
+# whose conversion depends on the set; a sum at a positive integer power,
+# which `_power_poly` expands; and a constant root, which has no unique
+# form yet.  `diff` differentiates a kept dict directly, factor by factor
 # and through each sum base's own kept dict, and cancels and rebuilds the
 # result as `simplify` does.
 #
@@ -469,11 +470,7 @@ def _kept_poly(e: Expr):
 
 def _round_trips(b: Expr, e) -> bool:
     """Whether the factor b^e of a monomial converts back to b^e under
-    every `positive` set.  Each base that does is canonical already: an
-    atom, a Gamma factor of an atom or of a tree with a kept dict, or a sum
-    with a kept dict under an exponent that `_power_poly` keeps opaque.  A
-    constant root, a power or product base, or a sum at a positive integer
-    power converts otherwise, or depends on the set."""
+    every `positive` set, by the rule in the notes above."""
     if isinstance(b, (Variable, SymbolicConstant)):
         return True
     if isinstance(b, GammaFactor):
