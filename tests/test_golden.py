@@ -24,6 +24,13 @@ iteration or to the JSON rendering shows up here as a byte difference.
 1-10, n in {5, 6, 7}, numeric and symbolic order: each model's text, its
 exit code and the SHA-1 of what `quantize` printed for it.
 
+`tests/golden/quantize_corpus.json` holds 104 `quantize` runs: each of the
+13 bundled and golden models with the file's order, `--alpha symbolic`,
+`--alpha 0.5` and `--alpha 1`, each plain and with `--verbose`.  A run
+keeps its exit code and the SHA-1 of its standard output and of its
+standard error, so the constraint log and the rendered model are pinned
+as well as the JSON.
+
 `tests/golden/<name>.json` also holds what `report-hall` and
 `estimate-alpha` printed for each run in REPORTS: the strong-field report at
 the default charge and field and at e = 2.5, B = 1.5, and the order estimate
@@ -89,6 +96,26 @@ def test_dense_family_quantize_digests_match_golden(tmp_path, capsys):
         assert main(["quantize", str(path)]) == case["exit"], label
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha1(out).hexdigest() == case["stdout_sha1"], label
+
+
+CORPUS_DIRS = {"models": MODELS, "golden": GOLDEN}
+
+
+def test_quantize_corpus_digests_match_golden(capsys):
+    corpus = json.loads(_golden("quantize_corpus"))
+    assert {case["model"] for case in corpus} == {
+        "%s/%s" % (folder, path.name) for folder, where in CORPUS_DIRS.items()
+        for path in where.glob("*.model")}
+    for case in corpus:
+        folder, name = case["model"].split("/")
+        label = " ".join([case["model"], *case["flags"]])
+        argv = ["quantize", str(CORPUS_DIRS[folder] / name), *case["flags"]]
+        assert main(argv) == case["exit"], label
+        out, err = capsys.readouterr()
+        assert hashlib.sha1(out.encode("utf-8")).hexdigest() \
+            == case["stdout_sha1"], label
+        assert hashlib.sha1(err.encode("utf-8")).hexdigest() \
+            == case["stderr_sha1"], label
 
 
 REPORTS = {
