@@ -15,11 +15,11 @@ shared by every caller and must not be mutated.  A tree that `_rebuild`
 builds from a dict keeps that dict for every `positive` set instead,
 when each factor of it converts back unchanged under every set, so the
 next `simplify`, `diff` or rescaling of a canonical tree reads it rather
-than walking the tree.  A compound node kept opaque under a power keeps
-the one tree its monomials share as their base, and an opaque factor (a
-sum, product or power base, or a Gamma factor) keeps its parenthesised
-text, so a denominator that every term of a bracket shares is rebuilt
-and rendered once.  All of this is safe because nodes are immutable: a
+than walking the tree.  Such a tree kept opaque under a power is itself
+the base of its monomials, so every power of it shares one node, and an
+opaque factor (a sum, product or power base, or a Gamma factor) keeps its
+parenthesised text, so a denominator that every term of a bracket shares
+is rendered once.  All of this is safe because nodes are immutable: a
 stored value never goes stale.  Inside the polynomial dicts of
 `simplify` an exponent is a `Fraction` or a plain `int` (an atom enters
 with exponent 1); nodes always hold `Fraction`s, so trees, text and JSON
@@ -91,7 +91,7 @@ class Expr:
     children's.  Every order and every dict is the one the dataclass
     methods would give."""
 
-    __slots__ = ("_hash", "_key", "_poly", "_opaque", "_text")
+    __slots__ = ("_hash", "_key", "_poly", "_text")
 
     def __hash__(self):
         try:
@@ -442,24 +442,10 @@ def _power_poly(base: Expr, r: Fraction, positive: frozenset) -> dict:
             pairs = [(b, e) for b, e in pairs if e != 0]
             return {_sorted_mono(pairs): coeff}
     # a multi-term base under a negative integer or any fractional power,
-    # or a base not known to be positive, stays one opaque factor
-    return {((_opaque_base(base, p, positive), r),): _ONE}
-
-
-def _opaque_base(base: Expr, p: dict, positive: frozenset) -> Expr:
-    """`_rebuild(p)` for the dict p of `base` under `positive`.  A compound
-    base keeps the tree it was last rebuilt to under that set, so every
-    power of it (one per term of a table entry, say) shares one tree."""
-    if isinstance(base, (Constant, Variable, SymbolicConstant)):
-        return _rebuild(p)
-    if _kept_poly(base) is not None:
-        return base  # `_rebuild(p)` would build an equal tree
-    memo = getattr(base, "_opaque", None)
-    if memo is not None and memo[0] == positive:
-        return memo[1]
-    tree = _rebuild(p)
-    object.__setattr__(base, "_opaque", (positive, tree))
-    return tree
+    # or a base not known to be positive, stays one opaque factor; a base
+    # that keeps its dict is already that dict's tree, shared by its powers
+    tree = base if _kept_poly(base) is not None else _rebuild(p)
+    return {((tree, r),): _ONE}
 
 
 def _kept_poly(e: Expr):
@@ -651,18 +637,14 @@ def _poly_div(num: dict, den: dict) -> dict | None:
     quotient term outside the box stops the division.  Otherwise both
     operands are packed (`_Packing`), num scaled to integer coefficients
     and den to primitive ones, so that by Gauss's lemma an exact quotient
-    has integer coefficients, and `_divide` runs on them.
+    has integer coefficients, and `_divide` runs on them.  A one-term den
+    takes the same path: packed it is a unit monomial, which divides every
+    num exactly.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return {}
-    if len(den) == 1:
-        (mono, c), = den.items()
-        if not mono:
-            return {m: v / c for m, v in num.items()}
-        inv = {_sorted_mono([(b, -e) for b, e in mono]): 1 / c}
-        return _poly_mul(num, inv)
     nr, dr = _exponent_ranges(num), _exponent_ranges(den)
     box = {}
     for b in nr.keys() | dr.keys():
@@ -950,13 +932,13 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
 
 
 def _emit_values(exprs: Iterable[Expr], order: Iterable[str],
-                 binding: Binding | None = None, prefix: str = "y") -> list:
+                 binding: Binding | None = None) -> list:
     """The Python source of each expression's value, the names in `order`
-    read from the slots prefix0, prefix1, ...: compile_expr's emitter, with
-    its rules and its errors."""
+    read from the slots y0, y1, ...: compile_expr's emitter, with its rules
+    and its errors."""
     from .frac import FracError
 
-    names = {name: "%s%d" % (prefix, i) for i, name in enumerate(order)}
+    names = {name: "y%d" % i for i, name in enumerate(order)}
     b = dict(binding or {})
 
     def num(v: float) -> str:

@@ -207,8 +207,3 @@ def render_model(model: Model, gauge_conditions=()) -> str:
     for g in gauge_conditions:
         lines.append("constraints_gauge: " + to_text(g))
     return "\n".join(lines) + "\n"
-
-
-def write_model_file(path: str, model: Model, gauge_conditions=()):
-    with open(path, "w") as fh:
-        fh.write(render_model(model, gauge_conditions))

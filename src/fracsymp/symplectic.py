@@ -13,7 +13,7 @@ reduces to a nonzero constant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -186,7 +186,6 @@ class BracketTable:
     variables: tuple
     entries: tuple
     alpha: float | None
-    commutators: tuple | None = None
 
     @property
     def prefactor(self) -> Expr:
@@ -214,9 +213,8 @@ class BracketTable:
             "convention": CONVENTION,
             "prefactor": to_text(prefactor),
             "brackets": plain,
-            "commutators": (
-                None if self.commutators is None
-                else [[to_text(e) for e in row] for row in self.commutators]),
+            # no command fills it; bench/ref/brackets and the goldens pin it
+            "commutators": None,
             "normalizations": {
                 "section_6_3": plain,
                 "section_5_2": scaled,
@@ -744,10 +742,3 @@ def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
     correction = float(bu @ np.linalg.solve(Ca, bv))
     return base - correction
 
-
-def brackets_to_commutators(t: BracketTable, hbar: float) -> BracketTable:
-    """Commutator coefficients c_ij with [eta_i, eta_j] = i c_ij, where
-    c_ij is hbar times the bracket entry."""
-    h = Constant(Fraction(hbar))
-    comms = tuple(tuple(simplify(Product((h, e))) for e in row) for row in t.entries)
-    return replace(t, commutators=comms)

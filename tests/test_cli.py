@@ -233,6 +233,21 @@ def test_simulate_model_needs_initial(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--initial", "1,0", "--memory-window", "0"),
+     "memory window must be a positive step count"),
+    (("--initial", "nan,0"), "non-finite state at step 0"),
+], ids=["memory-window-0", "nan-initial"])
+def test_simulate_reports_a_run_it_cannot_start(capsys, tmp_path, extra,
+                                                message):
+    out_path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", model("canonical_pair"),
+                         "--alpha", "0.5", "--T", "1", "--h", "0.1", *extra,
+                         "--out", str(out_path))
+    assert (code, out, err) == (1, "", "fracsymp: error: %s\n" % message)
+    assert not out_path.exists()
+
+
 # -- estimate-alpha ----------------------------------------------------------
 
 def test_estimate_near_one(capsys):

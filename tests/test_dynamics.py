@@ -75,6 +75,11 @@ def test_ivp_structural_validation():
         ivp(("q",), ("q",), 1.0, (1.0, 2.0), 1.0, 0.1)
 
 
+def test_ivp_refuses_an_empty_system():
+    with pytest.raises(DynamicsError, match="empty system"):
+        FractionalIVP((), (), 0.5, (), 1.0, 0.1)
+
+
 def test_sequential_composition_needs_pairs():
     with pytest.raises(DynamicsError):
         ivp(("q",), ("q",), 0.5, (1.0,), 1.0, 0.1,
@@ -664,6 +669,11 @@ def test_landau_rejects_bad_parameters():
         landau_problem(1.0, 0.0, 1.0, 0.5, 0j, 1j, 1.0, 1e-2, SINGLE_ORDER)
     with pytest.raises(DynamicsError):
         landau_problem(1.0, 1.0, -1.0, 0.5, 0j, 1j, 1.0, 1e-2, SINGLE_ORDER)
+
+
+def test_landau_refuses_an_unknown_composition():
+    with pytest.raises(DynamicsError, match="unknown composition 'x'"):
+        landau_problem(1.0, 1.0, 1.0, 0.5, 0j, 1j, 1.0, 1e-2, composition="x")
 
 
 def test_landau_classical_frequency():

@@ -595,12 +595,23 @@ def test_rendered_node_equals_an_unrendered_twin(e):
         assert to_text(twin) == to_text(tree) == text
 
 
-def test_powers_of_one_opaque_base_share_one_tree():
-    """Every power of one compound base kept opaque converts to the same
-    base tree, so its text is rendered once for all the terms."""
-    d = parse("1 + q + k")
+def _opaque_bases(d):
     e = simplify(Sum((Product((var("x"), Power(d, -1))),
                       Product((var("p"), Power(d, -2))))))
     assert to_text(e) == "p*(1 + k + q)^(-2) + x*(1 + k + q)^(-1)"
     bases = [f.base for t in e.terms for f in t.factors if isinstance(f, Power)]
-    assert len(bases) == 2 and bases[0] is bases[1]
+    assert len(bases) == 2
+    return bases
+
+
+def test_powers_of_one_opaque_base_share_one_tree():
+    """Every power of one canonical compound base kept opaque converts to
+    that base itself, through the dict it keeps, so its text is rendered
+    once for all the terms.  A raw base that keeps no dict is rebuilt for
+    each power, to equal trees with the same text."""
+    d = simplify(parse("1 + q + k"))
+    bases = _opaque_bases(d)
+    assert bases[0] is d and bases[1] is d
+    raw = _opaque_bases(parse("1 + q + k"))
+    assert raw[0] == raw[1] == d
+    assert to_text(raw[0]) == to_text(raw[1]) == "1 + k + q"

@@ -10,7 +10,6 @@ from fracsymp.modelfile import (
     parse_model_file,
     parse_model_text,
     render_model,
-    write_model_file,
 )
 
 MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
@@ -116,14 +115,6 @@ def test_render_is_canonical_and_idempotent(tmp_path):
         doc2 = parse_model_text(text)
         assert doc2.model == doc.model
         assert render_model(doc2.model, doc2.gauge_conditions) == text
-
-
-def test_write_and_reread(tmp_path):
-    doc = parse_model_text(MINIMAL)
-    out = tmp_path / "m.model"
-    write_model_file(out, doc.model, doc.gauge_conditions)
-    doc2 = parse_model_file(out)
-    assert doc2.model == doc.model
 
 
 def test_bundled_corpus_parses():

@@ -2,6 +2,7 @@
 `%.17g` byte for byte."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,6 +25,12 @@ def test_string_escapes_per_code_point():
     for ch in chars:
         assert render_json(ch) == '"%s"' % _escape_one(ch)
     assert render_json("".join(chars)) == '"%s"' % "".join(map(_escape_one, chars))
+
+
+def test_render_json_literals_and_refusal():
+    assert render_json([True, False, {}]) == "[\n  true,\n  false,\n  {}\n]"
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        render_json(object())
 
 
 def _percent_rows(block):

@@ -26,7 +26,9 @@ from fracsymp.expr import (
     SymbolicConstant,
     Variable,
     _poly_div,
+    _poly_mul,
     _rebuild,
+    _sorted_mono,
     _to_poly,
     evaluate,
     parse_expression,
@@ -55,7 +57,6 @@ from fracsymp.symplectic import (
     _in_rational_span,
     _scaled,
     assemble_form,
-    brackets_to_commutators,
     coarse_dirac_bracket,
     coarse_hamilton_jacobi,
     constraints_from_zero_modes,
@@ -418,6 +419,11 @@ def test_coarse_hamilton_jacobi_with_constraint_multiplier():
     assert abs(got - (-0.5 - 2.0)) < 1e-12
 
 
+def test_extend_model_refuses_only_vanishing_constraints():
+    with pytest.raises(ModelError, match="no nonvanishing constraints"):
+        extend_model(canonical_pair(), [ZERO])
+
+
 def test_coarse_hamilton_jacobi_needs_even_dimension():
     with pytest.raises(ModelError):
         coarse_hamilton_jacobi(three_var("q"))
@@ -458,6 +464,19 @@ def test_dirac_bracket_degenerate_constraints():
     cons = [ex("q1", names), ex("q2", names)]
     with pytest.raises(DegenerateConstraintMatrix):
         coarse_dirac_bracket(ex("q1", names), ex("p1", names), m, cons, pt)
+
+
+def test_dirac_bracket_refuses_a_model_with_no_kinetic_sector():
+    names = ("q", "p")
+    m = Model(names, (ZERO, ZERO), ex("1/2*(q^2 + p^2)", names), 1.0, {}, ())
+    q, p = ex("q", names), ex("p", names)
+    pt = {"q": 0.3, "p": 0.9}
+    with pytest.raises(DegenerateConstraintMatrix,
+                       match="primary set is singular"):
+        coarse_dirac_bracket(q, p, m, point=pt)
+    with pytest.raises(DegenerateConstraintMatrix,
+                       match="every constraint commutes with the rest"):
+        coarse_dirac_bracket(q, p, m, [ONE], pt)
 
 
 def test_dirac_bracket_matches_chain_output():
@@ -766,6 +785,25 @@ def test_exact_division_recovers_quotient_under_a_monomial_order():
     assert _poly_div({**num, (): Fraction(1)}, den) is None
 
 
+@pytest.mark.parametrize("divisor", [
+    "-3/7",
+    "-2/3*q^(-2)*p^(1/2)*Gamma(1 + alpha)^3",
+], ids=["constant", "monomial"])
+def test_division_by_one_term_multiplies_by_its_inverse(divisor):
+    """A one-term divisor takes the packed path of `_poly_div`, whose
+    quotient is num times the inverse of that term."""
+    names = ("q", "p")
+
+    def poly(text):
+        return _to_poly(simplify(parse_expression(text, variables=names)),
+                        frozenset())
+
+    num = poly("5/2*q^3*p^(-1/3) - q*Gamma(1 + alpha)^(-1) + 7*p^(1/2) + 4/9")
+    (mono, c), = poly(divisor).items()
+    inverse = {_sorted_mono([(b, -e) for b, e in mono]): 1 / c}
+    assert _poly_div(num, poly(divisor)) == _poly_mul(num, inverse)
+
+
 @pytest.mark.parametrize("entry, want", [
     ("1 - (1 + q^2)^(-1)",
      "-(1 + (1 + q^2)^(-2) - 2*(1 + q^2)^(-1))^(-1)"
@@ -913,17 +951,11 @@ def test_bracket_table_json_deterministic():
 
 
 def test_commutator_table():
+    """No command fills the commutators key of a regular table; it stays
+    in the JSON, always null."""
     chain, table = fj_iterate(canonical_pair())
-    ct = brackets_to_commutators(table, 1.0)
-    assert ct.commutators is not None
-    texts = [[to_text(x) for x in row] for row in ct.commutators]
-    assert texts == [["0", "1"], ["-1", "0"]]
-    d = ct.to_json_dict()
-    assert d["commutators"] is not None
-    assert (d["prefactor"], d["convention"]) == ("1", CONVENTION)
-    plain = table.to_json_dict()
-    assert {k: v for k, v in d.items() if k != "commutators"} == \
-        {k: v for k, v in plain.items() if k != "commutators"}
+    assert chain.status == REGULAR
+    assert table.to_json_dict()["commutators"] is None
 
 
 _G = GammaFactor(Sum((ONE, SymbolicConstant("alpha"))))
