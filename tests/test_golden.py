@@ -2,7 +2,7 @@
 simulate` trajectories, byte for byte.
 
 `tests/golden/<name>.json` holds what `quantize` printed for each bundled
-model and for six models under `tests/golden/`: `dense6_symbolic.model`,
+model and for seven models under `tests/golden/`: `dense6_symbolic.model`,
 a dense 6-variable symbolic-order model whose two-form has a multi-term
 Gamma(1 + alpha) determinant; `dense5_symbolic.model`, its 5-variable
 kin, whose one constraint level adds the multiplier lam_1 and whose table
@@ -13,10 +13,13 @@ collapses (q^2)^(1/2) and (q^2)^(3/2) in the kinetic sector, while the
 inverse of the same entries is taken with no positive names;
 `span_drop.model`, whose constraint iteration drops the candidate 2*y as
 lying in the span of earlier constraints and their derivatives and ends
-in a gauge theory; and `rational_rows.model`, whose two-form rows carry
+in a gauge theory; `rational_rows.model`, whose two-form rows carry
 different denominators, a q^(1/2) entry and a Gamma(1 + alpha) entry, so
 that the row scaling and the rational exponents of the exact elimination
-are pinned.  Any change to a canonical form, to the constraint
+are pinned; and `field4.model`, a field-dependent 4-variable model whose
+two-form entries hold the variables, so that the elimination of
+polynomial entries and the rendering of long multi-term brackets are
+pinned.  Any change to a canonical form, to the constraint
 iteration or to the JSON rendering shows up here as a byte difference.
 
 `tests/golden/dense_family.json` holds 60 seeded dense models, drawn as
@@ -24,8 +27,8 @@ iteration or to the JSON rendering shows up here as a byte difference.
 1-10, n in {5, 6, 7}, numeric and symbolic order: each model's text, its
 exit code and the SHA-1 of what `quantize` printed for it.
 
-`tests/golden/quantize_corpus.json` holds 104 `quantize` runs: each of the
-13 bundled and golden models with the file's order, `--alpha symbolic`,
+`tests/golden/quantize_corpus.json` holds 112 `quantize` runs: each of the
+14 bundled and golden models with the file's order, `--alpha symbolic`,
 `--alpha 0.5` and `--alpha 1`, each plain and with `--verbose`.  A run
 keeps its exit code and the SHA-1 of its standard output and of its
 standard error, so the constraint log and the rendered model are pinned
@@ -74,6 +77,7 @@ CASES = {
     "landau_strong": (MODELS / "landau_strong.model", 0),
     "dense5_symbolic": (GOLDEN / "dense5_symbolic.model", 0),
     "dense6_symbolic": (GOLDEN / "dense6_symbolic.model", 0),
+    "field4": (GOLDEN / "field4.model", 0),
     "laurent_pfaffian": (GOLDEN / "laurent_pfaffian.model", 0),
     "positive_root": (GOLDEN / "positive_root.model", 0),
     "rational_rows": (GOLDEN / "rational_rows.model", 0),
