@@ -1069,19 +1069,25 @@ def _term_text(t: Expr) -> tuple:
     return sign, "*".join(texts)
 
 
+def _joined(terms) -> str:
+    """The text of a sum from the (sign, unsigned text) of each term."""
+    parts = []
+    for i, (sign, txt) in enumerate(terms):
+        if i == 0:
+            parts.append(("-" if sign < 0 else "") + txt)
+        else:
+            parts.append(("- " if sign < 0 else "+ ") + txt)
+    return " ".join(parts)
+
+
+def _terms(e: Expr) -> tuple:
+    """The terms of a canonical tree, as `to_text` renders them."""
+    return e.terms if isinstance(e, Sum) else (e,)
+
+
 def to_text(e: Expr) -> str:
     """Deterministic infix rendering; round-trips through parse_expression."""
-    if isinstance(e, Sum):
-        parts = []
-        for i, t in enumerate(e.terms):
-            sign, txt = _term_text(t)
-            if i == 0:
-                parts.append(("-" if sign < 0 else "") + txt)
-            else:
-                parts.append(("- " if sign < 0 else "+ ") + txt)
-        return " ".join(parts)
-    sign, txt = _term_text(e)
-    return ("-" if sign < 0 else "") + txt
+    return _joined(_term_text(t) for t in _terms(e))
 
 
 # ---------------------------------------------------------------------------

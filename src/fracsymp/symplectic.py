@@ -32,9 +32,14 @@ from .expr import (
     _cancelled,
     _denominator_lcm,
     _divide,
+    _fold_constants,
+    _joined,
     _poly_mul,
     _rebuild,
+    _round_trips,
     _sorted_mono,
+    _term_text,
+    _terms,
     _to_poly,
     diff,
     evaluate,
@@ -53,6 +58,8 @@ GAUGE_THEORY = "gauge-theory"
 INCONSISTENT = "inconsistent"
 
 CONVENTION = "f_ij = d a_j / d eta_i - d a_i / d eta_j"
+
+_MINUS_ONE = Constant(Fraction(-1))
 
 
 class SymplecticError(FracsympError):
@@ -203,10 +210,33 @@ class BracketTable:
         return _scaled(self.prefactor, self.entry(vi, vj))
 
     def to_json_dict(self) -> dict:
+        """The table as JSON values, each bracket text rendered once: an
+        entry below the diagonal is the one above it with the sign of each
+        term flipped (`_text_pair`).  At alpha = 1 the section 5.2 table is
+        the plain one; otherwise only the entries above the diagonal are
+        scaled, as `_scaled` does, and the flip gives those below.  A table
+        whose dicts are not antisymmetric raises SymplecticError."""
+        n = len(self.variables)
+        none = frozenset()
         prefactor = self.prefactor
-        plain = [[to_text(e) for e in row] for row in self.entries]
-        scaled = [[to_text(_scaled(prefactor, e)) for e in row]
-                  for row in self.entries]
+        shift = _to_poly(prefactor, none)
+        plain = [["0"] * n for _ in range(n)]
+        scaled = plain if prefactor == ONE else [["0"] * n for _ in range(n)]
+        for i, row in enumerate(self.entries):
+            if row[i] != ZERO:
+                raise SymplecticError("table is not antisymmetric")
+            for j in range(i + 1, n):
+                upper, lower = row[j], self.entries[j][i]
+                d = _to_poly(upper, none)
+                if _to_poly(lower, none) != _negated(d):
+                    raise SymplecticError("table is not antisymmetric")
+                bare = any(_bare_negated(t) for e in (upper, lower) for t in _terms(e))
+                plain[i][j], plain[j][i] = _text_pair(upper, lower if bare else None)
+                if scaled is not plain:
+                    sd = _fold_constants(_poly_mul(shift, d))
+                    bare = any(abs(c) == 1 and _bare_base(m) for m, c in sd.items())
+                    scaled[i][j], scaled[j][i] = _text_pair(
+                        _rebuild(sd), _rebuild(_negated(sd)) if bare else None)
         out = {
             "variables": list(self.variables),
             "alpha": "symbolic" if self.alpha is None else float(self.alpha),
@@ -221,6 +251,31 @@ class BracketTable:
             },
         }
         return out
+
+
+def _bare_base(mono) -> bool:
+    """Whether a monomial is one sum or product base at exponent 1.  With
+    coefficient 1 its term is the base itself, which prints flattened
+    (2*q, or 1 + q as a whole entry); with -1 it prints as -(2*q)."""
+    return len(mono) == 1 and mono[0][1] == 1 and isinstance(mono[0][0], (Sum, Product))
+
+
+def _bare_negated(t: Expr) -> bool:
+    """Whether the canonical term t is -1 times a bare base (`_bare_base`)."""
+    return (isinstance(t, Product) and len(t.factors) == 2
+            and t.factors[0] == _MINUS_ONE and isinstance(t.factors[1], (Sum, Product)))
+
+
+def _text_pair(upper: Expr, lower: Expr | None) -> tuple:
+    """The texts of an entry and of its negation: `lower`'s own text when
+    it is given, else the entry's terms with their signs flipped, which is
+    the text of the negated tree unless a term is a bare base; 0 stays 0."""
+    terms = [_term_text(t) for t in _terms(upper)]
+    if lower is not None:
+        return _joined(terms), to_text(lower)
+    if upper == ZERO:
+        return "0", "0"
+    return _joined(terms), _joined((-sign, txt) for sign, txt in terms)
 
 
 def _gamma_power(alpha: float | None, k: int) -> Expr:
@@ -289,28 +344,55 @@ def _mul_sub(p: dict, x: dict, a: dict, y: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def _step(mat, r: int, c: int, cols, prev: dict):
+    """One Bareiss step at the pivot in row r, column c: every other row
+    becomes (p a_ij - a_ic a_rj) / prev in each column j of `cols`, with
+    p = a_rc and prev the pivot of the step before."""
+    pivot = mat[r]
+    p = pivot[c]
+    for i, row in enumerate(mat):
+        if i == r:
+            continue
+        a = row[c]
+        for j in cols:
+            row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
+            if row[j] is None:
+                raise ArithmeticError("fraction-free step is not exact")
+
+
 def _eliminate(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
     of Laurent-polynomial dicts of `_to_poly`, in place.
 
     Pivots are sought in the first `ncols` columns in column order, the first
-    entry at or below the next pivot row that does not simplify to 0
-    winning; later columns are carried along.  Step k updates every other
-    row as (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact,
-    in each later column and in each free column met so far (the null basis
-    reads those), so the cost is O(n^3) polynomial operations.
+    entry at or below the next pivot row that is not 0 winning; later
+    columns are carried along.  Step k updates every other row as
+    (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact.  The
+    first pass updates only the first `ncols` columns: each later one and
+    each free column met so far (the null basis reads those).  Only when
+    every one of them has a pivot does a second pass replay the steps over
+    the carried columns, step k with the pivot row k, its pivot p_k, p_(k-1)
+    and each row's column k, which step k read and no later step changed,
+    as the multiplier; row swaps commute with the steps that follow them,
+    so the replay gives the same dicts.  The cost is O(n^3) polynomial
+    operations, and a singular form skips its carried columns.
 
     The loop runs on integers.  On entry each row is scaled by the lcm of
     its coefficient denominators, a scale that moves with the row, and each
     monomial is packed (`_Packing`).  Every entry is then a minor of the
     scaled rows: p and the pivot rows carry the product S of the pivot
-    rows' scales, any other row S times its own.  On return those scales
-    are divided out and `rows` holds the eliminated matrix as dicts again:
-    p in each pivot row's own pivot column, 0 in the other entries of the
-    pivot columns, and the eliminated values elsewhere, where an entry that
-    simplifies to 0 may still be a nonzero dict.  Returns (pivot columns, p,
-    sign of the row permutation)."""
+    rows' scales, any other row S times its own.  When every base of the
+    packing round-trips (`expr._round_trips`), a nonzero dict is a nonzero
+    element, so a candidate pivot is 0 only when its dict is empty;
+    otherwise, since an opaque sum denominator, root or power base can
+    make a nonzero dict 0, it is 0 when it simplifies to 0.  On return those scales are divided out, and `rows` holds dicts again
+    only where a caller reads: p in each pivot row's own pivot column, the
+    pivot rows' free columns, and the carried columns after a full-rank
+    elimination, where an entry that simplifies to 0 may still be a nonzero
+    dict.  Every other entry is {}.  Returns (pivot columns, p, sign of the
+    row permutation)."""
     pk = _Packing([x for row in rows for x in row], 4 * len(rows))
+    exact = all(_round_trips(b, 1) for b in pk.bases)
     scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
     mat = [[pk.to_ints(x, s) for x in row] for row, s in zip(rows, scales)]
     pivots: list = []
@@ -319,9 +401,8 @@ def _eliminate(rows, ncols: int):
     prev = {0: 1}
     for c in range(ncols):
         r = len(pivots)
-        sel = next((i for i in range(r, len(mat))
-                    if mat[i][c] and _nonzero(pk.from_ints(mat[i][c], _ONE))),
-                   None)
+        sel = next((i for i in range(r, len(mat)) if mat[i][c] and (
+            exact or _nonzero(pk.from_ints(mat[i][c], _ONE)))), None)
         if sel is None:
             free.append(c)
             continue
@@ -329,26 +410,27 @@ def _eliminate(rows, ncols: int):
             mat[r], mat[sel] = mat[sel], mat[r]
             scales[r], scales[sel] = scales[sel], scales[r]
             sign = -sign
-        pivot = mat[r]
-        p = pivot[c]
-        cols = free + list(range(c + 1, len(pivot)))
-        for i, row in enumerate(mat):
-            if i == r:
-                continue
-            a = row[c]
-            for j in cols:
-                row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
-                if row[j] is None:
-                    raise ArithmeticError("fraction-free step is not exact")
+        _step(mat, r, c, free + list(range(c + 1, ncols)), prev)
         pivots.append(c)
-        prev = p
-    s = math.prod(scales[:len(pivots)])
+        prev = mat[r][c]
+    rank = len(pivots)
+    carried = ()
+    if mat and rank == ncols:
+        carried = range(ncols, len(mat[0]))
+        before = {0: 1}
+        for k in range(rank):  # pivot k sits in column k
+            _step(mat, k, k, carried, before)
+            before = mat[k][k]
+    s = math.prod(scales[:rank])
     p = pk.from_ints(prev, Fraction(1, s))
     for i, row in enumerate(mat):
-        factor = Fraction(1, s if i < len(pivots) else s * scales[i])
-        rows[i] = [pk.from_ints(x, factor) for x in row]
-        for k, pc in enumerate(pivots):
-            rows[i][pc] = dict(p) if k == i else {}
+        factor = Fraction(1, s if i < rank else s * scales[i])
+        out = [{} for _ in row]
+        for j in [*free, *carried] if i < rank else carried:
+            out[j] = pk.from_ints(row[j], factor)
+        if i < rank:
+            out[pivots[i]] = dict(p)
+        rows[i] = out
     return pivots, p, sign
 
 
@@ -378,10 +460,12 @@ def _null_basis(rows, pivots, p, n: int) -> tuple:
 # -- core operations ---------------------------------------------------------
 
 def assemble_form(m: Model) -> SymplecticForm:
-    """Antisymmetric two-form of the kinetic sector.  The lower triangle is
-    the negated upper triangle by construction, so antisymmetry is structural
-    rather than checked."""
+    """Antisymmetric two-form of the kinetic sector.  Each entry above the
+    diagonal is simplified once, and the entry below it is rebuilt from
+    the negation of its dict, so antisymmetry is structural rather than
+    checked."""
     n = m.dimension
+    positive = frozenset(m.positive)
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -391,41 +475,50 @@ def assemble_form(m: Model) -> SymplecticForm:
                               diff(m.kinetic[i], m.variables[j], m.positive))))),
                 m.positive)
             entries[i][j] = e
-            entries[j][i] = simplify(Product((Constant(Fraction(-1)), e)), m.positive)
+            entries[j][i] = _rebuild(_negated(_to_poly(e, positive)))
     return SymplecticForm(tuple(tuple(row) for row in entries))
+
+
+def _negated(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
 
 
 def invert_form(f: SymplecticForm):
     """Exact symbolic inverse from the form's elimination of [F | I].  At the
     end the left block is p_n I with p_n = sign * det F, and the right block
-    R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det.
+    R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det, multiplied out
+    as dicts: R_ij's own dict when each of its factors round-trips
+    (`expr._round_trips`), else the dict of its rebuilt tree, which is what
+    `simplify` would read.
 
     The adjugate of an antisymmetric matrix is antisymmetric over any
     commutative ring, so R is too, exactly as dicts: the diagonal is empty
-    and R_ji is -R_ij.  Each entry above the diagonal is simplified once,
+    and R_ji is -R_ij.  Each entry above the diagonal is cancelled once,
     and its canonical dict is rebuilt both as it is and negated, which is
     what simplifying R_ji would give.  An R that is not antisymmetric
-    raises SymplecticError."""
+    raises SymplecticError.  A singular form is refused before its carried
+    columns, which `_eliminate` then left empty, are read."""
     n = f.dimension
     if f.rank < n:
         raise SingularForm(f.null_basis)
     rows, _pivots, p, sign = f.elimination
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
-    inv_det = simplify(Power(det, Fraction(-1)))
-    sign_c = Constant(Fraction(sign))
     none = frozenset()
+    inv_det = _to_poly(simplify(Power(det, Fraction(-1))), none)
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         if rows[i][n + i]:
             raise SymplecticError("form is not antisymmetric")
         for j in range(i + 1, n):
             r = rows[i][n + j]
-            if rows[j][n + i] != {m: -c for m, c in r.items()}:
+            if rows[j][n + i] != _negated(r):
                 raise SymplecticError("form is not antisymmetric")
-            entry = Product((sign_c, _rebuild(r), inv_det))
-            d = _cancelled(_to_poly(entry, none), none)
+            if not all(_round_trips(b, e) for m in r for b, e in m):
+                r = _to_poly(_rebuild(r), none)
+            d = _cancelled(_poly_mul({m: sign * c for m, c in r.items()}, inv_det),
+                           none)
             out[i][j] = _rebuild(d)
-            out[j][i] = _rebuild({m: -c for m, c in d.items()})
+            out[j][i] = _rebuild(_negated(d))
     return tuple(tuple(row) for row in out)
 
 

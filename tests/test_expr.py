@@ -541,8 +541,8 @@ _QUANTIZED = sorted((_TESTS.parent / "src" / "fracsymp" / "models").glob("*.mode
 
 def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
     """After the quantize pipeline (iteration and JSON table) on every
-    bundled and golden model, the form stored on every node converted on the
-    way, the table entries and the inverse's shared determinant among them,
+    bundled and golden model, at the file's order and at a symbolic order,
+    the form stored on every node converted on the way, the table entries and the inverse's shared determinant among them,
     equals its recomputation from an equal twin, so no caller edited a
     shared dict.  That covers both kinds: the dicts `_compound_poly` made
     for one `positive` set, and those `_rebuild` kept for every set (checked
@@ -565,9 +565,10 @@ def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
     monkeypatch.setattr(symplectic, "_rebuild", rebuilding)
     for path in _QUANTIZED:
         doc = parse_model_file(path)
-        _, table = fj_iterate(doc.model, gauge_conditions=doc.gauge_conditions)
-        if table is not None:
-            table.to_json_dict()
+        for m in (doc.model, dataclasses.replace(doc.model, alpha=None)):
+            _, table = fj_iterate(m, gauge_conditions=doc.gauge_conditions)
+            if table is not None:
+                table.to_json_dict()
     monkeypatch.undo()
     assert len(converted) + len(kept) > 1000
     for n in converted:

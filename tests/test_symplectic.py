@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import fracsymp
@@ -25,9 +25,13 @@ from fracsymp.expr import (
     Sum,
     SymbolicConstant,
     Variable,
+    _Packing,
+    _denominator_lcm,
+    _divide,
     _poly_div,
     _poly_mul,
     _rebuild,
+    _round_trips,
     _sorted_mono,
     _to_poly,
     evaluate,
@@ -44,6 +48,7 @@ from fracsymp.symplectic import (
     GAUGE_THEORY,
     INCONSISTENT,
     REGULAR,
+    BracketTable,
     DegenerateConstraintMatrix,
     Model,
     ModelError,
@@ -55,6 +60,8 @@ from fracsymp.symplectic import (
     _eliminate,
     _gamma_power,
     _in_rational_span,
+    _mul_sub,
+    _nonzero,
     _scaled,
     assemble_form,
     coarse_dirac_bracket,
@@ -279,6 +286,146 @@ def test_row_scales_move_with_their_rows():
     assert rows == [[{(): f(1, 6)}, {}, {}],
                     [{}, {(): f(1, 6)}, {}],
                     [{}, {}, {(): f(1, 30)}]]
+
+
+# The elimination as one interleaved pass over every column, as
+# `_eliminate` ran before it deferred the carried columns to a replay and
+# converted back only what callers read: kept as the oracle for the split,
+# which runs the same integer step on each entry, so every entry a caller
+# reads must be the same dict.
+
+def _interleaved_eliminate(rows, ncols):
+    pk = _Packing([x for row in rows for x in row], 4 * len(rows))
+    scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
+    mat = [[pk.to_ints(x, s) for x in row] for row, s in zip(rows, scales)]
+    pivots, free, sign, prev = [], [], 1, {0: 1}
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat))
+                    if mat[i][c] and _nonzero(pk.from_ints(mat[i][c], Fraction(1)))),
+                   None)
+        if sel is None:
+            free.append(c)
+            continue
+        if sel != r:
+            mat[r], mat[sel] = mat[sel], mat[r]
+            scales[r], scales[sel] = scales[sel], scales[r]
+            sign = -sign
+        pivot = mat[r]
+        p = pivot[c]
+        cols = free + list(range(c + 1, len(pivot)))
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            a = row[c]
+            for j in cols:
+                row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
+        pivots.append(c)
+        prev = p
+    s = math.prod(scales[:len(pivots)])
+    p = pk.from_ints(prev, Fraction(1, s))
+    for i, row in enumerate(mat):
+        factor = Fraction(1, s if i < len(pivots) else s * scales[i])
+        rows[i] = [pk.from_ints(x, factor) for x in row]
+        for k, pc in enumerate(pivots):
+            rows[i][pc] = dict(p) if k == i else {}
+    return pivots, p, sign
+
+
+def _poly(text):
+    return _to_poly(simplify(parse_expression(text, variables=("q", "p"))),
+                    frozenset())
+
+
+# zeros force row swaps; 1/2, -2/3 and 3/4 give rows different scales; the
+# opaque (1 + c^2)^(-1) and 1 + c^2 make pivots that are 0 only once
+# simplified, and the atoms with negative and fractional exponents make
+# the packing's bases round-trip
+_ELIMINATED = tuple(_poly(t) for t in (
+    "0", "0", "0", "1", "-2", "1/2", "-2/3", "3/4", "q", "-1/2*q",
+    "Gamma(1 + alpha)", "q^(-1)", "p^(1/2)", "q + 1/3*p",
+    "2*Gamma(1 + alpha) - q", "(1 + c^2)^(-1)", "1 + c^2"))
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """An n x (n + k) matrix of dicts, eliminated over its first n columns;
+    some rows of the left block are multiples of others, so that the rank
+    can fall short of n."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.sampled_from((0, 1, n)))
+    rows = [[draw(st.sampled_from(_ELIMINATED)) for _ in range(n + k)]
+            for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            scale = draw(st.sampled_from(_ELIMINATED))
+            rows[i][:n] = [_poly_mul(scale, x) for x in rows[j][:n]]
+    return rows, n
+
+
+_PFAFFIAN_FOUR = [[_poly(t) for t in row] for row in (
+    ("0", "(1 + c^2)^(-1)", "1", "0", "1", "0", "0", "0"),
+    ("-(1 + c^2)^(-1)", "0", "0", "1", "0", "1", "0", "0"),
+    ("-1", "0", "0", "1 + c^2", "0", "0", "1", "0"),
+    ("0", "-1", "-1 - c^2", "0", "0", "0", "0", "1"))]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_elimination_inputs())
+@example(([[{}, {}, {(): Fraction(1, 5)}],
+           [{(): Fraction(1, 2)}, {}, {}],
+           [{}, {(): Fraction(1, 3)}, {}]], 2))
+@example((_PFAFFIAN_FOUR, 4))
+def test_split_elimination_matches_the_interleaved_pass(case):
+    """The split `_eliminate` gives the interleaved pass's pivots, p and
+    sign, and the same dict in every entry a caller reads: p on the pivot
+    diagonal, the pivot rows' free columns (`_null_basis`) and, when every
+    one of the first n columns has a pivot, the carried columns
+    (`invert_form`).  Every other entry is empty."""
+    rows, n = case
+    want_rows, got_rows = [list(r) for r in rows], [list(r) for r in rows]
+    want = _interleaved_eliminate(want_rows, n)
+    got = _eliminate(got_rows, n)
+    assert got == want
+    pivots, p, _sign = got
+    rank = len(pivots)
+    read = {(r, c) for r in range(rank) for c in range(n) if c not in pivots}
+    read |= {(r, pivots[r]) for r in range(rank)}
+    if rank == n:
+        read |= {(r, c) for r in range(len(rows)) for c in range(n, len(rows[0]))}
+    for r, row in enumerate(got_rows):
+        for c, x in enumerate(row):
+            assert x == (want_rows[r][c] if (r, c) in read else {}), (r, c)
+
+
+def _dicts_over_atoms(draw):
+    atoms = (var("q"), var("p"), SymbolicConstant("e"),
+             next(iter(_poly("Gamma(1 + alpha)")))[0][0])
+    exponents = [Fraction(k, d) for k, d in ((-2, 1), (-1, 1), (-1, 2), (1, 2),
+                                             (1, 1), (3, 2), (2, 1))]
+    out = {}
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.sets(st.sampled_from(atoms), max_size=3))
+        mono = _sorted_mono([(b, draw(st.sampled_from(exponents))) for b in chosen])
+        c = draw(st.sampled_from([Fraction(k, d) for k, d in
+                                  ((1, 1), (-1, 1), (2, 3), (-2, 3))]))
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_dict_over_round_tripping_bases_is_zero_only_when_empty(data):
+    """Over variables, symbolic constants and Gamma(1 + alpha), at negative
+    and fractional exponents, every base round-trips, so `_eliminate` takes
+    a pivot to be 0 only when its dict is empty: `_nonzero`, which clears
+    opaque denominators and simplifies, agrees.  The (1 + c^2)^(-1)
+    pivots above keep the other packings on `_nonzero`."""
+    x = _dicts_over_atoms(data.draw)
+    assert all(_round_trips(b, 1) for b in _Packing([x], 4).bases)
+    assert _nonzero(x) == bool(x)
 
 
 _A = "c*(1 + c)^(-1)"
@@ -956,6 +1103,98 @@ def test_commutator_table():
     chain, table = fj_iterate(canonical_pair())
     assert chain.status == REGULAR
     assert table.to_json_dict()["commutators"] is None
+
+
+def _per_entry_texts(table):
+    """The plain and section 5.2 texts as `to_json_dict` rendered them
+    before it rendered each entry once: `to_text` of every entry, and of
+    every entry scaled."""
+    prefactor = table.prefactor
+    return ([[to_text(e) for e in row] for row in table.entries],
+            [[to_text(_scaled(prefactor, e)) for e in row] for row in table.entries])
+
+
+def test_json_texts_match_the_per_entry_rendering():
+    """For every bundled and golden model at the file's order, a symbolic
+    order, 0.5 and 1, each text, the flipped ones below the diagonal among
+    them, is `to_text` of its own tree, and at alpha = 1 the section 5.2
+    table is the plain one."""
+    tables = 0
+    for path in sorted(MODELS.glob("*.model")) + sorted(_GOLDEN.glob("*.model")):
+        doc = parse_model_file(path)
+        for alpha in (doc.model.alpha, None, 0.5, 1.0):
+            m = Model(doc.model.variables, doc.model.kinetic, doc.model.potential,
+                      alpha, doc.model.constants, doc.model.positive)
+            _, table = fj_iterate(m, doc.gauge_conditions)
+            if table is None:
+                continue
+            d = table.to_json_dict()
+            plain, scaled = _per_entry_texts(table)
+            assert d["brackets"] == d["normalizations"]["section_6_3"] == plain
+            if alpha == 1.0:
+                assert d["normalizations"]["section_5_2"] is d["brackets"]
+            assert d["normalizations"]["section_5_2"] == scaled
+            tables += 1
+    assert tables >= 40, tables
+
+
+def _table(upper, alpha=1.0):
+    """A two-variable table built as `invert_form` builds one: each tree
+    rebuilt from the dict above the diagonal, as it is and negated."""
+    lower = {m: -c for m, c in upper.items()}
+    return BracketTable(("a", "b"), ((ZERO, _rebuild(upper)),
+                                     (_rebuild(lower), ZERO)), alpha)
+
+
+def test_a_bare_compound_base_renders_its_own_negation():
+    """A term that is one sum or product base at exponent 1 with
+    coefficient 1 prints as the base itself, 1 + q as a whole entry and
+    2*q flattened, but its negation prints as -(1 + q) and -(2*q), so
+    flipping the signs of the upper terms would give -1 - q and
+    -3*p - 2*q.  Such an entry renders its lower tree."""
+    one_plus_q = simplify(parse_expression("1 + q", variables=("q", "p")))
+    (mono, _c), = _poly("(2*q)^(1/2)").items()
+    two_q = mono[0][0]
+    assert isinstance(two_q, Product)
+    cases = [({((one_plus_q, 1),): Fraction(1)}, "1 + q", "-(1 + q)"),
+             ({((two_q, 1),): Fraction(1), ((var("p"), 1),): Fraction(3)},
+              "3*p + 2*q", "-3*p - (2*q)")]
+    for upper, above, below in cases:
+        table = _table(upper)
+        d = table.to_json_dict()
+        assert d["brackets"] == [["0", above], [below, "0"]]
+        assert d["brackets"] == _per_entry_texts(table)[0]
+        assert d["normalizations"]["section_5_2"] is d["brackets"]
+        table = _table(upper, None)
+        d = table.to_json_dict()
+        assert d["brackets"] == [["0", above], [below, "0"]]
+        assert d["normalizations"]["section_5_2"] == _per_entry_texts(table)[1]
+
+
+def test_a_bare_base_in_the_scaled_dict_renders_its_own_negation():
+    """A product base at exponent 1 times Gamma(1 + alpha)^2 loses the
+    Gamma factor when scaled by Gamma(1 + alpha)^(-2), so the scaled entry
+    is the bare base, which the section 5.2 table negates as -(2*q)."""
+    (mono, _c), = _poly("(2*q)^(1/2)").items()
+    half = Power(mono[0][0], Fraction(1, 2))
+    g = simplify(parse_expression("Gamma(1 + alpha)"))
+    upper = Product((half, half, Power(g, Fraction(2))))
+    table = BracketTable(("a", "b"), ((ZERO, upper),
+                                      (Product((Constant(Fraction(-1)), upper)), ZERO)),
+                         None)
+    d = table.to_json_dict()
+    assert d["normalizations"]["section_5_2"] == [["0", "2*q"], ["-(2*q)", "0"]]
+    assert [d["brackets"], d["normalizations"]["section_5_2"]] == \
+        list(_per_entry_texts(table))
+
+
+@pytest.mark.parametrize("entries", [
+    ((ZERO, ONE), (ONE, ZERO)),
+    ((ONE, ONE), (Constant(Fraction(-1)), ZERO)),
+], ids=["lower-not-negated", "nonzero-diagonal"])
+def test_to_json_dict_refuses_a_table_that_is_not_antisymmetric(entries):
+    with pytest.raises(SymplecticError, match="table is not antisymmetric"):
+        BracketTable(("a", "b"), entries, 1.0).to_json_dict()
 
 
 _G = GammaFactor(Sum((ONE, SymbolicConstant("alpha"))))
