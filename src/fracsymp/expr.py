@@ -580,6 +580,8 @@ class _Packing:
 
     def from_ints(self, p: dict, factor: Fraction) -> dict:
         """p times `factor`, with monomials as `_to_poly` writes them."""
+        if factor == 1:
+            return {self.mono(x): Fraction(c) for x, c in p.items()}
         return {self.mono(x): c * factor for x, c in p.items()}
 
 
@@ -1054,7 +1056,7 @@ def _term_text(t: Expr) -> tuple:
         parts = [t]
     for p in parts:
         if isinstance(p, Constant):
-            coeff *= p.value
+            coeff = p.value if coeff is _ONE else coeff * p.value
         elif isinstance(p, Power):
             factors.append((p.base, p.exponent))
         else:

@@ -12,6 +12,7 @@ reduces to a nonzero constant).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .expr import (
     _divide,
     _fold_constants,
     _joined,
+    _mono_mul,
     _poly_mul,
     _rebuild,
     _round_trips,
@@ -233,7 +235,7 @@ class BracketTable:
                 bare = any(_bare_negated(t) for e in (upper, lower) for t in _terms(e))
                 plain[i][j], plain[j][i] = _text_pair(upper, lower if bare else None)
                 if scaled is not plain:
-                    sd = _fold_constants(_poly_mul(shift, d))
+                    sd = _fold_constants(_shifted(shift, d))
                     bare = any(abs(c) == 1 and _bare_base(m) for m, c in sd.items())
                     scaled[i][j], scaled[j][i] = _text_pair(
                         _rebuild(sd), _rebuild(_negated(sd)) if bare else None)
@@ -278,9 +280,11 @@ def _text_pair(upper: Expr, lower: Expr | None) -> tuple:
     return _joined(terms), _joined((-sign, txt) for sign, txt in terms)
 
 
+@functools.lru_cache(maxsize=16)
 def _gamma_power(alpha: float | None, k: int) -> Expr:
     """Gamma(1 + alpha)^k as an expression, honoring a symbolic order; 1 at
-    alpha = 1."""
+    alpha = 1.  Made once per order and power and shared, since a tree is
+    immutable: each table's prefactor is one."""
     if alpha == 1.0:
         return ONE
     arg = sym("alpha") if alpha is None else Constant(Fraction(alpha))
@@ -295,7 +299,15 @@ def _scaled(prefactor: Expr, e: Expr) -> Expr:
     multi-term denominator of e divides its numerator where it did not
     before, so `simplify` would cancel nothing."""
     none = frozenset()
-    return _rebuild(_poly_mul(_to_poly(prefactor, none), _to_poly(e, none)))
+    return _rebuild(_shifted(_to_poly(prefactor, none), _to_poly(e, none)))
+
+
+def _shifted(shift: dict, p: dict) -> dict:
+    """p times the one-monomial dict `shift`, as `_poly_mul` gives it:
+    each monomial of p moves by shift's, so no two of them meet."""
+    (sm, sc), = shift.items()
+    one = sc == 1
+    return {_mono_mul(sm, m): c if one else c * sc for m, c in p.items()}
 
 
 def _primitive(v):
@@ -347,7 +359,8 @@ def _mul_sub(p: dict, x: dict, a: dict, y: dict) -> dict:
 def _step(mat, r: int, c: int, cols, prev: dict):
     """One Bareiss step at the pivot in row r, column c: every other row
     becomes (p a_ij - a_ic a_rj) / prev in each column j of `cols`, with
-    p = a_rc and prev the pivot of the step before."""
+    p = a_rc and prev the pivot of the step before.  An entry that is 0
+    stays 0 where a_ic a_rj is 0."""
     pivot = mat[r]
     p = pivot[c]
     for i, row in enumerate(mat):
@@ -355,9 +368,10 @@ def _step(mat, r: int, c: int, cols, prev: dict):
             continue
         a = row[c]
         for j in cols:
-            row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
-            if row[j] is None:
-                raise ArithmeticError("fraction-free step is not exact")
+            if row[j] or (a and pivot[j]):
+                row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
+                if row[j] is None:
+                    raise ArithmeticError("fraction-free step is not exact")
 
 
 def _eliminate(rows, ncols: int):
@@ -504,7 +518,8 @@ def invert_form(f: SymplecticForm):
     rows, _pivots, p, sign = f.elimination
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
     none = frozenset()
-    inv_det = _to_poly(simplify(Power(det, Fraction(-1))), none)
+    sign_over_det = {m: sign * c for m, c in
+                     _to_poly(simplify(Power(det, Fraction(-1))), none).items()}
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         if rows[i][n + i]:
@@ -515,8 +530,7 @@ def invert_form(f: SymplecticForm):
                 raise SymplecticError("form is not antisymmetric")
             if not all(_round_trips(b, e) for m in r for b, e in m):
                 r = _to_poly(_rebuild(r), none)
-            d = _cancelled(_poly_mul({m: sign * c for m, c in r.items()}, inv_det),
-                           none)
+            d = _cancelled(_poly_mul(r, sign_over_det), none)
             out[i][j] = _rebuild(d)
             out[j][i] = _rebuild(_negated(d))
     return tuple(tuple(row) for row in out)
