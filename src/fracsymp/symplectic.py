@@ -347,12 +347,14 @@ def _nonzero(x: dict) -> bool:
 def _mul_sub(p: dict, x: dict, a: dict, y: dict) -> dict:
     """p x - a y for packed int-coefficient dicts."""
     out: dict = {}
-    for u, v, sign in ((p, x, 1), (a, y, -1)):
-        for m1, c1 in u.items():
-            c1 *= sign
-            for m2, c2 in v.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
+    for m1, c1 in p.items():
+        for m2, c2 in x.items():
+            m = m1 + m2
+            out[m] = out.get(m, 0) + c1 * c2
+    for m1, c1 in a.items():
+        for m2, c2 in y.items():
+            m = m1 + m2
+            out[m] = out.get(m, 0) - c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
@@ -399,12 +401,13 @@ def _eliminate(rows, ncols: int):
     packing round-trips (`expr._round_trips`), a nonzero dict is a nonzero
     element, so a candidate pivot is 0 only when its dict is empty;
     otherwise, since an opaque sum denominator, root or power base can
-    make a nonzero dict 0, it is 0 when it simplifies to 0.  On return those scales are divided out, and `rows` holds dicts again
-    only where a caller reads: p in each pivot row's own pivot column, the
-    pivot rows' free columns, and the carried columns after a full-rank
-    elimination, where an entry that simplifies to 0 may still be a nonzero
-    dict.  Every other entry is {}.  Returns (pivot columns, p, sign of the
-    row permutation)."""
+    make a nonzero dict 0, it is 0 when it simplifies to 0.  On return
+    those scales are divided out, and `rows` holds dicts again only where
+    a caller reads: p in each pivot row's own pivot column, the pivot
+    rows' free columns, and the carried columns after a full-rank
+    elimination, where an entry that simplifies to 0 may still be a
+    nonzero dict.  Every other entry is {}.  Returns (pivot columns, p,
+    sign of the row permutation)."""
     pk = _Packing([x for row in rows for x in row], 4 * len(rows))
     exact = all(_round_trips(b, 1) for b in pk.bases)
     scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
