@@ -17,11 +17,9 @@ from .expr import (
     Sum,
     SymbolicConstant,
     Variable,
-    const,
     diff,
     evaluate,
     free_names,
-    gamma_of,
     parse_expression,
     simplify,
     substitute,
@@ -53,9 +51,9 @@ from .frac import (
 
 __all__ = [
     "Constant", "Expr", "FracsympError", "GammaFactor", "ParseError", "Power",
-    "Product", "Sum", "SymbolicConstant", "Variable", "const", "diff",
-    "evaluate", "free_names", "gamma_of", "parse_expression", "simplify",
-    "substitute", "sym", "to_text", "var",
+    "Product", "Sum", "SymbolicConstant", "Variable", "diff", "evaluate",
+    "free_names", "parse_expression", "simplify", "substitute", "sym",
+    "to_text", "var",
     "FracOrder", "InsufficientGrid", "NegativeBase", "OutsideFragment",
     "PoleAtNonPositiveInteger", "SampledFunction", "SymbolicPower",
     "chain_partial", "chain_partial_expr", "chain_rule_a", "chain_rule_b",

@@ -9,21 +9,20 @@ equal.
 
 Each node computes its hash and its sort key (type rank, repr) once, on
 first use, and keeps them, so sorting and merging monomials does not
-walk the trees again.  A compound node likewise keeps its polynomial
-dict for the last `positive` set it was converted under; that dict is
-shared by every caller and must not be mutated.  A tree that `_rebuild`
-builds from a dict keeps that dict for every `positive` set instead,
-when each factor of it converts back unchanged under every set, so the
-next `simplify`, `diff` or rescaling of a canonical tree reads it rather
-than walking the tree.  Such a tree kept opaque under a power is itself
-the base of its monomials, so every power of it shares one node, and an
-opaque factor (a sum, product or power base, or a Gamma factor) keeps its
-parenthesised text, so a denominator that every term of a bracket shares
-is rendered once.  All of this is safe because nodes are immutable: a
-stored value never goes stale.  Inside the polynomial dicts of
-`simplify` an exponent is a `Fraction` or a plain `int` (an atom enters
-with exponent 1); nodes always hold `Fraction`s, so trees, text and JSON
-are the same either way.
+walk the trees again.  A tree that `_rebuild` builds from a polynomial
+dict keeps that dict when each factor of it converts back unchanged under
+every `positive` set, so the next `simplify`, `diff` or rescaling of a
+canonical tree reads it rather than walking the tree; the dict is shared
+by every caller and must not be mutated.  Only `_rebuild` stores a dict:
+any other tree is converted afresh each time.  A tree kept opaque under a
+power is itself the base of its monomials, so every power of it shares
+one node, and an opaque factor (a sum, product or power base, or a Gamma
+factor) keeps its parenthesised text, so a denominator that every term
+of a bracket shares is rendered once.  All of this is safe because nodes
+are immutable: a stored value never goes stale.  Inside the polynomial
+dicts of `simplify` an exponent is a `Fraction` or a plain `int` (an atom
+enters with exponent 1); nodes always hold `Fraction`s, so trees, text
+and JSON are the same either way.
 """
 
 from __future__ import annotations
@@ -74,14 +73,6 @@ class ParseError(ExprError):
         self.position = position
 
 
-def _coerce(x) -> "Expr":
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Constant(Fraction(x))
-    raise TypeError(f"cannot treat {x!r} as an expression")
-
-
 class Expr:
     """Base of the expression nodes: frozen dataclasses that store their
     hash and their sort key `(_RANKS[type], repr)` on first use.
@@ -103,33 +94,6 @@ class Expr:
 
     def __repr__(self):
         return _base_key(self)[1]
-
-    def __add__(self, other):
-        return Sum((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Sum((_coerce(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Product((Constant(Fraction(-1)), _coerce(other)))))
-
-    def __rsub__(self, other):
-        return Sum((_coerce(other), Product((Constant(Fraction(-1)), self))))
-
-    def __mul__(self, other):
-        return Product((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Product((_coerce(other), self))
-
-    def __truediv__(self, other):
-        return Product((self, Power(_coerce(other), Fraction(-1))))
-
-    def __rtruediv__(self, other):
-        return Product((_coerce(other), Power(self, Fraction(-1))))
-
-    def __pow__(self, r):
-        return Power(self, Fraction(r))
 
     def __neg__(self):
         return Product((Constant(Fraction(-1)), self))
@@ -198,20 +162,12 @@ ZERO = Constant(Fraction(0))
 ONE = Constant(Fraction(1))
 
 
-def const(x) -> Constant:
-    return Constant(Fraction(x))
-
-
 def var(name: str) -> Variable:
     return Variable(name)
 
 
 def sym(name: str) -> SymbolicConstant:
     return SymbolicConstant(name)
-
-
-def gamma_of(e) -> GammaFactor:
-    return GammaFactor(_coerce(e))
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +180,17 @@ def gamma_of(e) -> GammaFactor:
 # (multi-term sums under a non-expandable power, non-positive bases under a
 # fractional power, non-perfect rational roots of constants).
 #
-# A compound tree that `_rebuild` builds keeps its dict for every
-# `positive` set when each factor round-trips, that is, converts back to
-# itself under any set: a variable, a symbolic constant, a Gamma factor
-# whose argument is an atom or keeps such a dict, or a sum that keeps such
-# a dict under a negative or fractional exponent.  Any other base leaves
-# the tree to the per-set memo of `_to_poly`: a power or product base,
-# whose conversion depends on the set; a sum at a positive integer power,
-# which `_power_poly` expands; and a constant root, which has no unique
-# form yet.  `diff` differentiates a kept dict directly, factor by factor
-# and through each sum base's own kept dict, and cancels and rebuilds the
-# result as `simplify` does.
+# A compound tree that `_rebuild` builds keeps its dict in `_poly` when
+# each factor round-trips, that is, converts back to itself under any
+# `positive` set: a variable, a symbolic constant, a Gamma factor whose
+# argument is an atom or keeps such a dict, or a sum that keeps such a
+# dict under a negative or fractional exponent.  Any other base leaves the
+# tree without a dict, and `_to_poly` converts it afresh: a power or
+# product base, whose conversion depends on the set; a sum at a positive
+# integer power, which `_power_poly` expands; and a constant root, which
+# has no unique form yet.  `diff` differentiates a kept dict directly,
+# factor by factor and through each sum base's own kept dict, and cancels
+# and rebuilds the result as `simplify` does.
 #
 # The arithmetic treats a constant base like any other symbol, so that
 # 2^(1/2)*2^(1/2) is the monomial 2^1 and exact division stays exact in
@@ -372,23 +328,17 @@ def _is_positive_base(b: Expr, positive: frozenset) -> bool:
 
 
 def _to_poly(e: Expr, positive: frozenset) -> dict:
-    """The polynomial dict of e.  A compound node keeps its dict with the
-    `positive` set it was made under and returns it again for an equal set,
-    or for every set when `_rebuild` kept it, so the dict is read-only;
-    atoms are cheaper to convert than to look up."""
+    """The polynomial dict of e under `positive`.  A compound node returns
+    the dict `_rebuild` kept on it, which holds under every set and is
+    shared, so read-only; any other node is converted afresh, and nothing
+    is stored.  Atoms are cheaper to convert than to look up."""
     if isinstance(e, Constant):
         return {(): e.value} if e.value else {}
     if isinstance(e, (Variable, SymbolicConstant)):
         return {((e, 1),): _ONE}
-    memo = getattr(e, "_poly", None)
-    if memo is not None and (memo[0] is None or memo[0] == positive):
-        return memo[1]
-    p = _compound_poly(e, positive)
-    object.__setattr__(e, "_poly", (positive, p))
-    return p
-
-
-def _compound_poly(e: Expr, positive: frozenset) -> dict:
+    kept = _kept_poly(e)
+    if kept is not None:
+        return kept
     if isinstance(e, GammaFactor):
         arg = _rebuild(_to_poly(e.arg, positive))
         if isinstance(arg, Constant) and arg.value.denominator == 1:
@@ -450,8 +400,7 @@ def _power_poly(base: Expr, r: Fraction, positive: frozenset) -> dict:
 
 def _kept_poly(e: Expr):
     """The dict `_rebuild` kept on e for every `positive` set, or None."""
-    memo = getattr(e, "_poly", None)
-    return memo[1] if memo is not None and memo[0] is None else None
+    return getattr(e, "_poly", None)
 
 
 def _round_trips(b: Expr, e) -> bool:
@@ -469,8 +418,9 @@ def _round_trips(b: Expr, e) -> bool:
 
 def _rebuild(p: dict) -> Expr:
     """The canonical tree of p.  A compound tree built here keeps p as its
-    dict under every `positive` set when each factor of p round-trips, so p
-    is shared from then on and its caller must not mutate it."""
+    dict, valid under every `positive` set, when each factor of p
+    round-trips; this is the one place a node stores a dict.  p is shared
+    from then on, and its caller must not mutate it."""
     p = _fold_constants(p)
     if not p:
         return ZERO
@@ -494,7 +444,7 @@ def _rebuild(p: dict) -> Expr:
     else:
         tree = Sum(tuple(terms))
     if all(_round_trips(b, e) for mono in p for b, e in mono):
-        object.__setattr__(tree, "_poly", (None, p))
+        object.__setattr__(tree, "_poly", p)
     return tree
 
 

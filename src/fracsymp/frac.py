@@ -444,12 +444,6 @@ def poisson_alpha(U: Expr, V: Expr, pairs, alpha, binding) -> float:
 
 def fractional_poisson_bracket(U: Expr, V: Expr, m, alpha, point) -> float:
     """Bracket on a model treated as a phase space: the first half of the
-    variable list are coordinates, the second half their momenta.  `m` may
-    also be an explicit list of (coordinate, momentum) pairs."""
-    if isinstance(m, (list, tuple)):
-        pairs = list(m)
-        binding = dict(point)
-    else:
-        pairs = split_pairs(list(m.variables))
-        binding = {**dict(getattr(m, "constants", {}) or {}), **dict(point)}
-    return poisson_alpha(U, V, pairs, alpha, binding)
+    variable list are coordinates, the second half their momenta."""
+    return poisson_alpha(U, V, split_pairs(m.variables), alpha,
+                         {**m.constants, **point})

@@ -28,6 +28,7 @@ from .expr import (
     Product,
     Sum,
     ZERO,
+    UnboundSymbol,
     _ONE,
     _Packing,
     _cancelled,
@@ -738,7 +739,11 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     effective Hamiltonian is V plus multiplier-weighted constraints; each
     right-hand side carries a 1/Gamma(1+alpha) prefactor and smooth-outer
     fractional partials.  Returns [(variable, rhs Expr)] in variable order.
+    The chain partial needs a numeric order, so a symbolic one raises
+    ModelError.
     """
+    if m.alpha is None:
+        raise ModelError("coarse Hamilton-Jacobi equations need a numeric order")
     if m.dimension % 2:
         raise ModelError("phase-space form needs an even number of variables")
     half = m.dimension // 2
@@ -751,13 +756,12 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     if constraints:
         h_eff = simplify(Sum(tuple([m.potential] + [
             Product((sym(nm), c)) for nm, c in zip(lam_names, constraints)])))
-    a = 1.0 if m.alpha is None else m.alpha
-    pref = _gamma_power(a, -1)
+    pref = _gamma_power(m.alpha, -1)
     out = []
     for i in range(half):
-        rhs_q = chain_partial_expr(h_eff, momenta[i], a)
+        rhs_q = chain_partial_expr(h_eff, momenta[i], m.alpha)
         rhs_p = simplify(Product((Constant(Fraction(-1)),
-                                  chain_partial_expr(h_eff, coords[i], a))))
+                                  chain_partial_expr(h_eff, coords[i], m.alpha))))
         out.append((coords[i], _apply_multipliers(
             simplify(Product((pref, rhs_q))), lam_names, multipliers)))
         out.append((momenta[i], _apply_multipliers(
@@ -802,12 +806,16 @@ def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
     correction by the inverse constraint matrix applied.  Constraints whose
     bracket row vanishes identically at the point commute with everything and
     are excluded from the matrix; if the remainder is still singular the
-    matrix is degenerate.
+    matrix is degenerate.  The order is the model's, or for a symbolic
+    order the `alpha` the point binds; with neither, UnboundSymbol.
     """
     import numpy as np
 
-    a = 1.0 if m.alpha is None else float(m.alpha)
     binding = m.binding(point)
+    a = m.alpha if m.alpha is not None else binding.get("alpha")
+    if a is None:
+        raise UnboundSymbol("alpha")
+    a = float(a)
     if not constraints:
         form = assemble_form(m)
         if form.rank < m.dimension:

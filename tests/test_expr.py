@@ -454,12 +454,13 @@ def _assert_kept_dict_is_fresh(n):
 @example(parse("(1 + (q^2)^(1/2))^(1/2)"))
 @example(parse("x*(1 + q)^(-1) + Gamma(1 + k)*(1 + q^2)^(1/2)"))
 def test_polynomial_memo_matches_fresh_conversion(e):
-    """`_to_poly` through a node's stored form equals the conversion of an
-    equal twin of new nodes, while `positive` switches on the same node and
-    the children were last converted under the other set.  The example's
-    opaque base rebuilds to a different tree under each set.  The canonical
-    form of the tree under either set, where it keeps a dict for every set,
-    keeps the twin's conversion under both."""
+    """`_to_poly` on a node equals the conversion of an equal twin of new
+    nodes, while `positive` switches on the same node and the children
+    were converted under the other set, and the conversion stores no dict
+    on a tree that `_rebuild` did not build.  The example's opaque base
+    rebuilds to a different tree under each set.  The canonical form of
+    the tree under either set, where it keeps a dict for every set, keeps
+    the twin's conversion under both."""
     try:
         for c in _children(e):
             _to_poly(c, _Q_POSITIVE)
@@ -467,7 +468,7 @@ def test_polynomial_memo_matches_fresh_conversion(e):
             got = _to_poly(e, positive)
             assert got == _to_poly(_rebuilt(e), positive)
             if not isinstance(e, (Constant, Variable, SymbolicConstant)):
-                assert e._poly == (positive, got)
+                assert _kept_poly(e) is None
         for positive in (_NO_POSITIVE, _Q_POSITIVE):
             _assert_kept_dict_is_fresh(simplify(e, positive))
     except ZeroDivisionError:  # zero under a negative power
@@ -484,7 +485,7 @@ def test_polynomial_memo_matches_fresh_conversion(e):
 def test_refused_base_keeps_no_dict_for_every_set(text):
     """A power base, a sum at a positive integer power, a constant root,
     or a Gamma factor of a tree without a kept dict converts otherwise or
-    depends on `positive`: its tree keeps only the per-set dict."""
+    depends on `positive`: its tree keeps no dict and converts afresh."""
     for positive in (_NO_POSITIVE, _Q_POSITIVE):
         s = simplify(parse(text), positive)
         assert _kept_poly(s) is None, to_text(s)
@@ -541,18 +542,13 @@ _QUANTIZED = sorted((_TESTS.parent / "src" / "fracsymp" / "models").glob("*.mode
 
 def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
     """After the quantize pipeline (iteration and JSON table) on every
-    bundled and golden model, at the file's order and at a symbolic order,
-    the form stored on every node converted on the way, the table entries and the inverse's shared determinant among them,
-    equals its recomputation from an equal twin, so no caller edited a
-    shared dict.  That covers both kinds: the dicts `_compound_poly` made
-    for one `positive` set, and those `_rebuild` kept for every set (checked
-    under both {} and {q}), such as the elimination's rows that
-    `invert_form` rebuilds."""
-    converted, kept = [], []
-
-    def recording(e, positive, convert=expr._compound_poly):
-        converted.append(e)
-        return convert(e, positive)
+    bundled and golden model, at the file's order, at a symbolic order and
+    at the orders 1/2 and 1/4, the dict kept on every tree `_rebuild`
+    built on the way, the table entries and the inverse's shared
+    determinant among them, such as the elimination's rows that
+    `invert_form` rebuilds, equals its recomputation from an equal twin
+    under both {} and {q}, so no caller edited a shared dict."""
+    kept = []
 
     def rebuilding(p, rebuild=expr._rebuild):
         tree = rebuild(p)
@@ -560,20 +556,17 @@ def test_stored_polynomial_forms_are_never_mutated(monkeypatch):
             kept.append(tree)
         return tree
 
-    monkeypatch.setattr(expr, "_compound_poly", recording)
     monkeypatch.setattr(expr, "_rebuild", rebuilding)
     monkeypatch.setattr(symplectic, "_rebuild", rebuilding)
     for path in _QUANTIZED:
         doc = parse_model_file(path)
-        for m in (doc.model, dataclasses.replace(doc.model, alpha=None)):
+        for alpha in (doc.model.alpha, None, 0.5, 0.25):
+            m = dataclasses.replace(doc.model, alpha=alpha)
             _, table = fj_iterate(m, gauge_conditions=doc.gauge_conditions)
             if table is not None:
                 table.to_json_dict()
     monkeypatch.undo()
-    assert len(converted) + len(kept) > 1000
-    for n in converted:
-        positive, poly = n._poly
-        assert poly == _to_poly(_rebuilt(n), positive), n
+    assert len(kept) > 1000
     for n in kept:
         _assert_kept_dict_is_fresh(n)
 

@@ -24,6 +24,7 @@ from fracsymp.expr import (
     Product,
     Sum,
     SymbolicConstant,
+    UnboundSymbol,
     Variable,
     _Packing,
     _denominator_lcm,
@@ -576,6 +577,13 @@ def test_coarse_hamilton_jacobi_needs_even_dimension():
         coarse_hamilton_jacobi(three_var("q"))
 
 
+def test_coarse_hamilton_jacobi_refuses_a_symbolic_order():
+    """The chain partial needs a numeric order; a symbolic one is not read
+    as alpha = 1."""
+    with pytest.raises(ModelError, match="numeric order"):
+        coarse_hamilton_jacobi(canonical_pair(None))
+
+
 # -- coarse Dirac bracket ----------------------------------------------------
 
 def test_dirac_bracket_unconstrained_classical():
@@ -591,6 +599,21 @@ def test_dirac_bracket_unconstrained_half_order():
     p = ex("p", m.variables)
     got = coarse_dirac_bracket(q, p, m, point={"q": 0.3, "p": 0.9})
     assert abs(got - 1.0 / gamma(1.5) ** 2) < 1e-12
+
+
+def test_dirac_bracket_symbolic_order_reads_the_point():
+    """At a symbolic order the bracket takes alpha from the point's
+    binding, as the model's order would give it, and with no alpha bound
+    it raises UnboundSymbol rather than reading alpha = 1."""
+    m = canonical_pair(None)
+    q = ex("q", m.variables)
+    p = ex("p", m.variables)
+    got = coarse_dirac_bracket(q, p, m, point={"q": 0.3, "p": 0.9, "alpha": 0.5})
+    assert got == coarse_dirac_bracket(q, p, canonical_pair(0.5),
+                                       point={"q": 0.3, "p": 0.9})
+    assert abs(got - 1.0 / gamma(1.5) ** 2) < 1e-12
+    with pytest.raises(UnboundSymbol, match="alpha"):
+        coarse_dirac_bracket(q, p, m, point={"q": 0.3, "p": 0.9})
 
 
 def test_dirac_bracket_freezes_constrained_pair():
