@@ -328,10 +328,10 @@ def _is_positive_base(b: Expr, positive: frozenset) -> bool:
 
 
 def _to_poly(e: Expr, positive: frozenset) -> dict:
-    """The polynomial dict of e under `positive`.  A compound node returns
-    the dict `_rebuild` kept on it, which holds under every set and is
+    """The polynomial dict of e under `positive`.  A node that `_rebuild`
+    kept a dict on returns that dict, which holds under every set and is
     shared, so read-only; any other node is converted afresh, and nothing
-    is stored.  Atoms are cheaper to convert than to look up."""
+    is stored."""
     if isinstance(e, Constant):
         return {(): e.value} if e.value else {}
     if isinstance(e, (Variable, SymbolicConstant)):
