@@ -180,23 +180,24 @@ def sym(name: str) -> SymbolicConstant:
 # (multi-term sums under a non-expandable power, non-positive bases under a
 # fractional power, non-perfect rational roots of constants).
 #
+# A canonical monomial holds no integer power of a constant, power or
+# product base and no positive integer power of a sum base: `_fold`
+# multiplies each out wherever `_rebuild` builds a tree, before
+# `_power_poly` decides whether its base is one monomial, and, for all but
+# constants, on entry to `_cancelled`.  Until then the arithmetic treats a
+# constant base like any other symbol, so that 2^(1/2)*2^(1/2) is the
+# monomial 2^1 and exact division stays exact in that ring.
+#
 # A compound tree that `_rebuild` builds keeps its dict in `_poly` when
 # each factor round-trips, that is, converts back to itself under any
 # `positive` set: a variable, a symbolic constant, a Gamma factor whose
 # argument is an atom or keeps such a dict, or a sum that keeps such a
-# dict under a negative or fractional exponent.  Any other base leaves the
-# tree without a dict, and `_to_poly` converts it afresh: a power or
-# product base, whose conversion depends on the set; a sum at a positive
-# integer power, which `_power_poly` expands; and a constant root, which
-# has no unique form yet.  `diff` differentiates a kept dict directly,
-# factor by factor and through each sum base's own kept dict, and cancels
-# and rebuilds the result as `simplify` does.
-#
-# The arithmetic treats a constant base like any other symbol, so that
-# 2^(1/2)*2^(1/2) is the monomial 2^1 and exact division stays exact in
-# that ring.  `_fold_constants` multiplies such integer powers out; it runs
-# wherever a tree is built from a dict, and before `_power_poly` decides
-# whether its base is one monomial.
+# dict under a negative or fractional exponent.  A power or product base,
+# whose conversion depends on the set, and a constant root, which has no
+# unique form yet, leave the tree without a dict, and `_to_poly` converts
+# it afresh.  `diff` differentiates a kept dict directly, factor by factor
+# and through each sum base's own kept dict, and cancels and rebuilds the
+# result as `simplify` does.
 
 _RANKS = {Constant: 0, SymbolicConstant: 1, Variable: 2, GammaFactor: 3, Power: 4, Sum: 5, Product: 6}
 
@@ -266,21 +267,31 @@ def _poly_mul(p1: dict, p2: dict) -> dict:
     return out
 
 
-def _fold_constants(p: dict) -> dict:
-    """p with every integer power of a constant base multiplied into the
-    coefficient of its monomial."""
-    if not any(isinstance(b, Constant) for mono in p for b, _ in mono):
-        return p
-    out: dict = {}
-    for mono, c in p.items():
-        pairs = []
-        for b, e in mono:
-            if isinstance(b, Constant) and e.denominator == 1:
-                c *= b.value ** int(e)
-            else:
-                pairs.append((b, e))
-        _accumulate(out, tuple(pairs), c)
-    return out
+_COMPOUND = (Power, Product, Sum)
+
+
+def _folds(b: Expr, e) -> bool:
+    """Whether `_fold` multiplies out b^e, for a constant, power, product
+    or sum base b: an integer power, of a sum only a positive one."""
+    return e.denominator == 1 and (e > 0 or not isinstance(b, Sum))
+
+
+def _fold(p: dict, kinds: tuple = (Constant,) + _COMPOUND) -> dict:
+    """p with each factor over a base of `kinds` that `_folds` names
+    multiplied out through `_power_poly`, until none is left; p itself
+    when it holds none."""
+    while any(isinstance(b, kinds) and _folds(b, e) for mono in p for b, e in mono):
+        out: dict = {}
+        for mono, c in p.items():
+            term = {(): c}
+            for b, e in mono:
+                f = (_power_poly(b, e, frozenset()) if isinstance(b, kinds) and _folds(b, e)
+                     else {((b, e),): _ONE})
+                term = _poly_mul(term, f)
+            for m, d in term.items():
+                _accumulate(out, m, d)
+        p = out
+    return p
 
 
 def _poly_int_pow(p: dict, n: int) -> dict:
@@ -370,7 +381,7 @@ def _power_poly(base: Expr, r: Fraction, positive: frozenset) -> dict:
         return p
     if r > 0 and r.denominator == 1:
         return _poly_int_pow(p, r.numerator)
-    p = _fold_constants(p)
+    p = _fold(p)
     if not p:
         if r > 0:
             return {}
@@ -417,11 +428,11 @@ def _round_trips(b: Expr, e) -> bool:
 
 
 def _rebuild(p: dict) -> Expr:
-    """The canonical tree of p.  A compound tree built here keeps p as its
-    dict, valid under every `positive` set, when each factor of p
-    round-trips; this is the one place a node stores a dict.  p is shared
-    from then on, and its caller must not mutate it."""
-    p = _fold_constants(p)
+    """The canonical tree of p, folded (`_fold`).  A compound tree built
+    here keeps the folded p as its dict, valid under every `positive`
+    set, when each factor of it round-trips; this is the one place a node
+    stores a dict.  p is shared from then on, and must not be mutated."""
+    p = _fold(p)
     if not p:
         return ZERO
     terms = []
@@ -439,7 +450,7 @@ def _rebuild(p: dict) -> Expr:
     if len(terms) == 1:
         (mono, c), = p.items()
         if not mono or (c == 1 and len(mono) == 1 and mono[0][1] == 1):
-            return terms[0]  # a constant, or the one base of p itself
+            return terms[0]  # a constant, or the one atom of p itself
         tree = terms[0]
     else:
         tree = Sum(tuple(terms))
@@ -677,11 +688,21 @@ def simplify(e: Expr, positive: Iterable[str] = ()) -> Expr:
 
 
 def _cancelled(p: dict, positive: frozenset) -> dict:
-    """p with each multi-term denominator cancelled where it divides: the
-    dict `simplify` rebuilds its canonical tree from."""
-    if any(isinstance(b, Sum) and ex < 0 for mono in p for b, ex in mono):
-        return _cancel_denominators(p, positive)
-    return p
+    """p with its power, product and sum bases folded (`_fold`) and each
+    multi-term denominator cancelled where it divides: the dict `simplify`
+    rebuilds its canonical tree from.  Constants fold later, in
+    `_rebuild`, as the division needs (see the notes above)."""
+    fold = cancel = False
+    for mono in p:
+        for b, e in mono:
+            if isinstance(b, _COMPOUND):
+                if _folds(b, e):
+                    fold = True
+                elif e < 0 and isinstance(b, Sum):
+                    cancel = True
+    if fold:
+        return _cancelled(_fold(p, _COMPOUND), positive)
+    return _cancel_denominators(p, positive) if cancel else p
 
 
 def _names(e: Expr, kinds) -> frozenset:
@@ -1040,6 +1061,13 @@ def _terms(e: Expr) -> tuple:
 def to_text(e: Expr) -> str:
     """Deterministic infix rendering; round-trips through parse_expression."""
     return _joined(_term_text(t) for t in _terms(e))
+
+
+def _text_pair(e: Expr) -> tuple:
+    """The texts of a canonical tree and of its negation, which are its
+    terms with their signs flipped; 0 stays 0."""
+    terms = [_term_text(t) for t in _terms(e)]
+    return _joined(terms), "0" if e == ZERO else _joined((-s, t) for s, t in terms)
 
 
 # ---------------------------------------------------------------------------

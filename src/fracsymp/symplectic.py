@@ -34,15 +34,12 @@ from .expr import (
     _cancelled,
     _denominator_lcm,
     _divide,
-    _fold_constants,
-    _joined,
     _mono_mul,
     _poly_mul,
     _rebuild,
     _round_trips,
     _sorted_mono,
-    _term_text,
-    _terms,
+    _text_pair,
     _to_poly,
     diff,
     evaluate,
@@ -54,15 +51,13 @@ from .expr import (
     var,
     variable_names,
 )
-from .frac import FracOrder, OutsideFragment, chain_partial_expr, gamma, poisson_alpha
+from .frac import FracOrder, chain_partial_expr, gamma, poisson_alpha
 
 REGULAR = "regular"
 GAUGE_THEORY = "gauge-theory"
 INCONSISTENT = "inconsistent"
 
 CONVENTION = "f_ij = d a_j / d eta_i - d a_i / d eta_j"
-
-_MINUS_ONE = Constant(Fraction(-1))
 
 
 class SymplecticError(FracsympError):
@@ -213,12 +208,13 @@ class BracketTable:
         return _scaled(self.prefactor, self.entry(vi, vj))
 
     def to_json_dict(self) -> dict:
-        """The table as JSON values, each bracket text rendered once: an
-        entry below the diagonal is the one above it with the sign of each
-        term flipped (`_text_pair`).  At alpha = 1 the section 5.2 table is
-        the plain one; otherwise only the entries above the diagonal are
-        scaled, as `_scaled` does, and the flip gives those below.  A table
-        whose dicts are not antisymmetric raises SymplecticError."""
+        """The table as JSON values, each bracket text rendered once: the
+        entries are canonical trees, so one below the diagonal is the one
+        above it with the sign of each term flipped (`expr._text_pair`).
+        At alpha = 1 the section 5.2 table is the plain one; otherwise
+        only the entries above the diagonal are scaled, as `_scaled` does,
+        and the flip gives those below.  A table whose dicts are not
+        antisymmetric raises SymplecticError."""
         n = len(self.variables)
         none = frozenset()
         prefactor = self.prefactor
@@ -233,13 +229,9 @@ class BracketTable:
                 d = _to_poly(upper, none)
                 if _to_poly(lower, none) != _negated(d):
                     raise SymplecticError("table is not antisymmetric")
-                bare = any(_bare_negated(t) for e in (upper, lower) for t in _terms(e))
-                plain[i][j], plain[j][i] = _text_pair(upper, lower if bare else None)
+                plain[i][j], plain[j][i] = _text_pair(upper)
                 if scaled is not plain:
-                    sd = _fold_constants(_shifted(shift, d))
-                    bare = any(abs(c) == 1 and _bare_base(m) for m, c in sd.items())
-                    scaled[i][j], scaled[j][i] = _text_pair(
-                        _rebuild(sd), _rebuild(_negated(sd)) if bare else None)
+                    scaled[i][j], scaled[j][i] = _text_pair(_rebuild(_shifted(shift, d)))
         out = {
             "variables": list(self.variables),
             "alpha": "symbolic" if self.alpha is None else float(self.alpha),
@@ -254,31 +246,6 @@ class BracketTable:
             },
         }
         return out
-
-
-def _bare_base(mono) -> bool:
-    """Whether a monomial is one sum or product base at exponent 1.  With
-    coefficient 1 its term is the base itself, which prints flattened
-    (2*q, or 1 + q as a whole entry); with -1 it prints as -(2*q)."""
-    return len(mono) == 1 and mono[0][1] == 1 and isinstance(mono[0][0], (Sum, Product))
-
-
-def _bare_negated(t: Expr) -> bool:
-    """Whether the canonical term t is -1 times a bare base (`_bare_base`)."""
-    return (isinstance(t, Product) and len(t.factors) == 2
-            and t.factors[0] == _MINUS_ONE and isinstance(t.factors[1], (Sum, Product)))
-
-
-def _text_pair(upper: Expr, lower: Expr | None) -> tuple:
-    """The texts of an entry and of its negation: `lower`'s own text when
-    it is given, else the entry's terms with their signs flipped, which is
-    the text of the negated tree unless a term is a bare base; 0 stays 0."""
-    terms = [_term_text(t) for t in _terms(upper)]
-    if lower is not None:
-        return _joined(terms), to_text(lower)
-    if upper == ZERO:
-        return "0", "0"
-    return _joined(terms), _joined((-sign, txt) for sign, txt in terms)
 
 
 @functools.lru_cache(maxsize=16)

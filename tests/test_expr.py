@@ -359,6 +359,11 @@ def _canonical(e):
 @example(parse("2^(1/2)*q*2^(1/2) + 2*q"))
 @example(parse("(2^(1/2)*q*2^(1/2) + 2*q)^(1/2)"))
 @example(parse("(1 + 3*q^2)*(1 + q^2)^(-1) - 2*q*(q + q^3)*(1 + q^2)^(-2)"))
+@example(parse("((1 + q)^(-1))^(-2)"))
+@example(parse("((q^2)^(1/2))^(-2)"))
+@example(parse("(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q"))
+@example(parse("((1 + q)^(-1))^(-2)*(1 + 2*q + q^2)^(-1)"))
+@example(parse("(c*(1 + c)^(-2) - c*(1 + c)^(-1))*(-c^2*(1 + c)^(-2))^(-1)"))
 def test_simplify_is_idempotent(e):
     s = _canonical(e)
     assert to_text(simplify(s)) == to_text(s)
@@ -366,6 +371,11 @@ def test_simplify_is_idempotent(e):
 
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
+@example(parse("((1 + q)^(-1))^(-2)"))
+@example(parse("((q^2)^(1/2))^(-2)"))
+@example(parse("(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q"))
+@example(parse("((1 + q)^(-1))^(-2)*(1 + 2*q + q^2)^(-1)"))
+@example(parse("(c*(1 + c)^(-2) - c*(1 + c)^(-1))*(-c^2*(1 + c)^(-2))^(-1)"))
 def test_text_round_trip_up_to_simplify(e):
     s = _canonical(e)
     assert simplify(parse(to_text(s))) == s
@@ -477,24 +487,38 @@ def test_polynomial_memo_matches_fresh_conversion(e):
 
 @pytest.mark.parametrize("text", [
     "(q^2)^(1/2)",
-    "(1 + q)^(1/2)*(1 + q)^(1/2)*p",
-    "(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q",
     "2^(1/2)*3^(1/2)",
     "Gamma((p^2)^(1/2))*q",
 ])
 def test_refused_base_keeps_no_dict_for_every_set(text):
-    """A power base, a sum at a positive integer power, a constant root,
-    or a Gamma factor of a tree without a kept dict converts otherwise or
-    depends on `positive`: its tree keeps no dict and converts afresh."""
+    """A power base, a constant root, or a Gamma factor of a tree without
+    a kept dict converts otherwise or depends on `positive`: its tree
+    keeps no dict and converts afresh."""
     for positive in (_NO_POSITIVE, _Q_POSITIVE):
         s = simplify(parse(text), positive)
         assert _kept_poly(s) is None, to_text(s)
         assert _to_poly(s, positive) == _to_poly(_rebuilt(s), positive)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("(1 + q)^(1/2)*(1 + q)^(1/2)*p", "p + p*q"),
+    ("(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q", "0"),
+])
+def test_a_sum_at_a_positive_integer_power_folds_and_keeps_a_dict(text, want):
+    """The sum base (1 + q)^1 is multiplied out where the tree is built,
+    so every factor left round-trips and the tree keeps its dict under
+    each set; 0 is a constant, whose dict is empty."""
+    for positive in (_NO_POSITIVE, _Q_POSITIVE):
+        s = simplify(parse(text), positive)
+        assert to_text(s) == want
+        assert (_kept_poly(s) is not None) == (s != ZERO)
+        _assert_kept_dict_is_fresh(s)
+
+
 def test_a_sum_base_alone_keeps_its_own_dict():
-    """(1 + q)^(1/2)*(1 + q)^(1/2) is the monomial (1 + q)^1, which
-    rebuilds to the base node itself; that node keeps its own dict."""
+    """(1 + q)^(1/2)*(1 + q)^(1/2) is the monomial (1 + q)^1, which the
+    fold multiplies out to the dict of 1 + q; the sum rebuilt from it
+    keeps that dict."""
     s = simplify(parse("(1 + q)^(1/2)*(1 + q)^(1/2)"))
     assert to_text(s) == "1 + q"
     assert _kept_poly(s) == _to_poly(parse("1 + q"), _NO_POSITIVE)

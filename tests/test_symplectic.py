@@ -29,11 +29,15 @@ from fracsymp.expr import (
     _Packing,
     _denominator_lcm,
     _divide,
+    _joined,
     _poly_div,
     _poly_mul,
     _rebuild,
     _round_trips,
     _sorted_mono,
+    _term_text,
+    _terms,
+    _text_pair,
     _to_poly,
     evaluate,
     parse_expression,
@@ -75,6 +79,7 @@ from fracsymp.symplectic import (
     momentum_name,
     primary_constraints,
 )
+from test_expr import _TREES
 
 MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
 
@@ -1169,44 +1174,32 @@ def _table(upper, alpha=1.0):
                                      (_rebuild(lower), ZERO)), alpha)
 
 
-def test_a_bare_compound_base_renders_its_own_negation():
-    """A term that is one sum or product base at exponent 1 with
-    coefficient 1 prints as the base itself, 1 + q as a whole entry and
-    2*q flattened, but its negation prints as -(1 + q) and -(2*q), so
-    flipping the signs of the upper terms would give -1 - q and
-    -3*p - 2*q.  Such an entry renders its lower tree."""
+def test_a_compound_base_at_exponent_one_renders_as_its_terms():
+    """A sum or product base at exponent 1 in an entry's dict is
+    multiplied out where the entry is built, so the entry is the base's
+    own terms and its negation is them with their signs flipped: -1 - q,
+    -3*p - 2*q, and on the section 5.2 side, where the prefactor takes
+    the Gamma(1 + alpha)^2 off a product base, -2*q."""
     one_plus_q = simplify(parse_expression("1 + q", variables=("q", "p")))
     (mono, _c), = _poly("(2*q)^(1/2)").items()
     two_q = mono[0][0]
     assert isinstance(two_q, Product)
-    cases = [({((one_plus_q, 1),): Fraction(1)}, "1 + q", "-(1 + q)"),
+    cases = [({((one_plus_q, 1),): Fraction(1)}, "1 + q", "-1 - q"),
              ({((two_q, 1),): Fraction(1), ((var("p"), 1),): Fraction(3)},
-              "3*p + 2*q", "-3*p - (2*q)")]
+              "3*p + 2*q", "-3*p - 2*q")]
     for upper, above, below in cases:
-        table = _table(upper)
-        d = table.to_json_dict()
-        assert d["brackets"] == [["0", above], [below, "0"]]
-        assert d["brackets"] == _per_entry_texts(table)[0]
-        assert d["normalizations"]["section_5_2"] is d["brackets"]
-        table = _table(upper, None)
-        d = table.to_json_dict()
-        assert d["brackets"] == [["0", above], [below, "0"]]
-        assert d["normalizations"]["section_5_2"] == _per_entry_texts(table)[1]
-
-
-def test_a_bare_base_in_the_scaled_dict_renders_its_own_negation():
-    """A product base at exponent 1 times Gamma(1 + alpha)^2 loses the
-    Gamma factor when scaled by Gamma(1 + alpha)^(-2), so the scaled entry
-    is the bare base, which the section 5.2 table negates as -(2*q)."""
-    (mono, _c), = _poly("(2*q)^(1/2)").items()
-    half = Power(mono[0][0], Fraction(1, 2))
+        for alpha in (1.0, None):
+            table = _table(upper, alpha)
+            d = table.to_json_dict()
+            assert d["brackets"] == [["0", above], [below, "0"]]
+            assert [d["brackets"], d["normalizations"]["section_5_2"]] == \
+                list(_per_entry_texts(table))
+    half = Power(two_q, Fraction(1, 2))
     g = simplify(parse_expression("Gamma(1 + alpha)"))
-    upper = Product((half, half, Power(g, Fraction(2))))
-    table = BracketTable(("a", "b"), ((ZERO, upper),
-                                      (Product((Constant(Fraction(-1)), upper)), ZERO)),
-                         None)
+    upper = _to_poly(Product((half, half, Power(g, Fraction(2)))), frozenset())
+    table = _table(upper, None)
     d = table.to_json_dict()
-    assert d["normalizations"]["section_5_2"] == [["0", "2*q"], ["-(2*q)", "0"]]
+    assert d["normalizations"]["section_5_2"] == [["0", "2*q"], ["-2*q", "0"]]
     assert [d["brackets"], d["normalizations"]["section_5_2"]] == \
         list(_per_entry_texts(table))
 
@@ -1247,3 +1240,36 @@ def test_scaled_entry_is_the_simplified_product(tree):
     for alpha in (None, 0.5, 1.0):
         prefactor = _gamma_power(alpha, -2)
         assert _scaled(prefactor, e) == simplify(Product((prefactor, e)))
+
+
+def _folded_away(b, e) -> bool:
+    """Whether no canonical monomial may hold the factor b^e: an integer
+    power of a constant, power or product base, or a positive integer
+    power of a sum base."""
+    if e.denominator != 1:
+        return False
+    return isinstance(b, (Constant, Power, Product)) or (isinstance(b, Sum) and e > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.recursive(_ENTRY_LEAVES, _entry_compound, max_leaves=10), _TREES))
+@example(Power(Product((var("q"), Power(Sum((ONE, var("q"))), Fraction(-1)))),
+               Fraction(-1)))
+def test_a_canonical_tree_negates_by_flipping_its_signs(tree):
+    """For e = simplify(tree) and its dict d, d rebuilds to e, no factor
+    of d is one the fold multiplies out, and the tree of -d renders as the
+    terms of e with their signs flipped, which is what `_text_pair` gives
+    a bracket entry and its negation.  The example is (q*(1 + q)^(-1))^(-1),
+    whose inverted monomial holds the sum 1 + q at exponent 1."""
+    try:
+        e = simplify(tree)
+    except ZeroDivisionError:  # zero under a negative power
+        assume(False)
+    d = _to_poly(e, frozenset())
+    assert _rebuild(d) == e
+    assert not any(_folded_away(b, x) for mono in d for b, x in mono), to_text(e)
+    below = to_text(_rebuild({m: -c for m, c in d.items()}))
+    flipped = "0" if e == ZERO else _joined(
+        (-sign, txt) for sign, txt in map(_term_text, _terms(e)))
+    assert below == flipped
+    assert _text_pair(e) == (to_text(e), below)
