@@ -8,6 +8,7 @@ live in (0, 1]; order exactly 1 short-circuits to the ordinary derivative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ import numpy as np
 
 from .expr import (
     GAMMA_EXACT_MAX,
+    ONE,
     Constant,
     Expr,
     FracsympError,
@@ -30,6 +32,7 @@ from .expr import (
     evaluate,
     free_names,
     simplify,
+    sym,
 )
 
 
@@ -104,6 +107,22 @@ def _order(alpha) -> float:
     return FracOrder(float(alpha)).value
 
 
+def _decimal_order(alpha) -> Fraction:
+    """A numeric order as the decimal that prints it: 0.3 is 3/10."""
+    return Fraction(repr(float(alpha)))
+
+
+@functools.lru_cache(maxsize=16)
+def _gamma_power(alpha: float | None, k: int) -> Expr:
+    """Gamma(1 + alpha)^k as an expression, honoring a symbolic order; 1 at
+    alpha = 1.  Made once per order and power and shared, since a tree is
+    immutable: each bracket table's prefactor is one."""
+    if alpha == 1.0:
+        return ONE
+    arg = sym("alpha") if alpha is None else Constant(_decimal_order(alpha))
+    return simplify(Power(GammaFactor(Sum((ONE, arg))), Fraction(k)))
+
+
 @dataclass(frozen=True)
 class SymbolicPower:
     """A function given as a finite sum of c * x^beta terms, beta >= 0."""
@@ -174,7 +193,7 @@ def mrl_derivative_power(f: SymbolicPower, alpha) -> SymbolicPower:
     x^(beta-alpha); additive constants are annihilated.
     """
     a = _order(alpha)
-    fa = Fraction(a)
+    fa = _decimal_order(a)
     x = Variable(f.varname)
     pieces = []
     for coeff, beta in f.terms():
@@ -376,22 +395,24 @@ def mrl_partial_expr(e: Expr, name: str, alpha) -> Expr:
     return mrl_derivative_power(SymbolicPower(e, name), a).expr
 
 
-def _partial_at(partial_expr, e: Expr, name: str, alpha, binding) -> float:
-    """Evaluate a fractional partial at a point.  A fractional order needs a
-    nonnegative coordinate; evaluation failures map to OutsideFragment."""
-    a = _order(alpha)
-    val = float(binding[name]) if name in binding else None
-    if a < 1.0 and val is not None and val < 0:
-        raise OutsideFragment(
-            f"coordinate '{name}' = {val} must be positive for fractional partials")
+def _guarded(names, alpha, binding, build) -> float:
+    """The value of the expression `build()` at a point.  A fractional order
+    needs each of `names` that the point binds nonnegative; evaluation
+    failures map to OutsideFragment."""
+    if _order(alpha) < 1.0:
+        for name in names:
+            if name in binding and float(binding[name]) < 0:
+                raise OutsideFragment(
+                    f"coordinate '{name}' = {float(binding[name])} must be "
+                    "positive for fractional partials")
     try:
-        return evaluate(partial_expr(e, name, a), binding)
+        return evaluate(build(), binding)
     except (ValueError, ZeroDivisionError) as exc:
         raise OutsideFragment(str(exc)) from exc
 
 
 def mrl_partial(e: Expr, name: str, alpha, binding) -> float:
-    return _partial_at(mrl_partial_expr, e, name, alpha, binding)
+    return _guarded((name,), alpha, binding, lambda: mrl_partial_expr(e, name, alpha))
 
 
 def chain_partial_expr(e: Expr, name: str, alpha) -> Expr:
@@ -409,7 +430,7 @@ def chain_partial_expr(e: Expr, name: str, alpha) -> Expr:
         raise OutsideFragment(str(exc)) from exc
     if a == 1.0:
         return base
-    fa = Fraction(a)
+    fa = _decimal_order(a)
     scale = Product((
         Power(Variable(name), Fraction(1) - fa),
         Power(GammaFactor(Constant(Fraction(2) - fa)), Fraction(-1)),
@@ -418,7 +439,7 @@ def chain_partial_expr(e: Expr, name: str, alpha) -> Expr:
 
 
 def chain_partial(e: Expr, name: str, alpha, binding) -> float:
-    return _partial_at(chain_partial_expr, e, name, alpha, binding)
+    return _guarded((name,), alpha, binding, lambda: chain_partial_expr(e, name, alpha))
 
 
 def split_pairs(names: Sequence[str]):
@@ -428,18 +449,22 @@ def split_pairs(names: Sequence[str]):
     return list(zip(names[:half], names[half:]))
 
 
-def poisson_alpha(U: Expr, V: Expr, pairs, alpha, binding) -> float:
+def poisson_alpha_expr(U: Expr, V: Expr, pairs, alpha) -> Expr:
     """Coarse-grained Poisson bracket over explicit (coordinate, momentum)
-    pairs, with one-variable fractional partials and a 1/Gamma(1+alpha)^2
-    prefactor.  Antisymmetric by construction: the second term differentiates
-    V with respect to the coordinate, mirroring the first."""
+    pairs as one expression: one-variable fractional partials and a
+    1/Gamma(1+alpha)^2 prefactor.  Antisymmetric by construction: the
+    second term differentiates V with respect to the coordinate."""
     a = _order(alpha)
-    pref = 1.0 / coarse_grained_factor(a) ** 2
-    acc = 0.0
-    for qn, pn in pairs:
-        acc += (mrl_partial(U, qn, a, binding) * mrl_partial(V, pn, a, binding)
-                - mrl_partial(U, pn, a, binding) * mrl_partial(V, qn, a, binding))
-    return pref * acc
+    terms = tuple(Product((c, mrl_partial_expr(U, x, a), mrl_partial_expr(V, y, a)))
+                  for qn, pn in pairs
+                  for c, x, y in ((ONE, qn, pn), (Constant(Fraction(-1)), pn, qn)))
+    return simplify(Product((_gamma_power(a, -2), Sum(terms))))
+
+
+def poisson_alpha(U: Expr, V: Expr, pairs, alpha, binding) -> float:
+    """The value of poisson_alpha_expr at a point."""
+    return _guarded([n for pair in pairs for n in pair], alpha, binding,
+                    lambda: poisson_alpha_expr(U, V, pairs, alpha))
 
 
 def fractional_poisson_bracket(U: Expr, V: Expr, m, alpha, point) -> float:

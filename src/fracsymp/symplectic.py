@@ -12,7 +12,6 @@ reduces to a nonzero constant).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +21,6 @@ from .expr import (
     Constant,
     Expr,
     FracsympError,
-    GammaFactor,
     ONE,
     Power,
     Product,
@@ -51,7 +49,8 @@ from .expr import (
     var,
     variable_names,
 )
-from .frac import FracOrder, chain_partial_expr, gamma, poisson_alpha
+from .frac import (FracOrder, _gamma_power, _guarded, chain_partial_expr,
+                   poisson_alpha_expr)
 
 REGULAR = "regular"
 GAUGE_THEORY = "gauge-theory"
@@ -248,17 +247,6 @@ class BracketTable:
         return out
 
 
-@functools.lru_cache(maxsize=16)
-def _gamma_power(alpha: float | None, k: int) -> Expr:
-    """Gamma(1 + alpha)^k as an expression, honoring a symbolic order; 1 at
-    alpha = 1.  Made once per order and power and shared, since a tree is
-    immutable: each table's prefactor is one."""
-    if alpha == 1.0:
-        return ONE
-    arg = sym("alpha") if alpha is None else Constant(Fraction(alpha))
-    return simplify(Power(GammaFactor(Sum((ONE, arg))), Fraction(k)))
-
-
 def _scaled(prefactor: Expr, e: Expr) -> Expr:
     """The canonical form of prefactor * e, for the one-monomial prefactor
     of `_gamma_power` and a canonical e: a monomial shift of e's dict,
@@ -445,23 +433,25 @@ def _null_basis(rows, pivots, p, n: int) -> tuple:
 # -- core operations ---------------------------------------------------------
 
 def assemble_form(m: Model) -> SymplecticForm:
-    """Antisymmetric two-form of the kinetic sector.  Each entry above the
-    diagonal is simplified once, and the entry below it is rebuilt from
-    the negation of its dict, so antisymmetry is structural rather than
-    checked."""
-    n = m.dimension
-    positive = frozenset(m.positive)
+    """Antisymmetric two-form of the kinetic sector (`_antisymmetric`)."""
+    def upper(i: int, j: int) -> Expr:
+        return simplify(
+            Sum((diff(m.kinetic[j], m.variables[i], m.positive),
+                 Product((Constant(Fraction(-1)),
+                          diff(m.kinetic[i], m.variables[j], m.positive))))),
+            m.positive)
+    return SymplecticForm(_antisymmetric(m.dimension, upper, frozenset(m.positive)))
+
+
+def _antisymmetric(n: int, upper, positive=frozenset()) -> tuple:
+    """The n x n matrix with entry upper(i, j) above the diagonal and, below
+    it, that entry's negated dict rebuilt: antisymmetric by structure."""
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            e = simplify(
-                Sum((diff(m.kinetic[j], m.variables[i], m.positive),
-                     Product((Constant(Fraction(-1)),
-                              diff(m.kinetic[i], m.variables[j], m.positive))))),
-                m.positive)
-            entries[i][j] = e
+            e = entries[i][j] = upper(i, j)
             entries[j][i] = _rebuild(_negated(_to_poly(e, positive)))
-    return SymplecticForm(tuple(tuple(row) for row in entries))
+    return tuple(tuple(row) for row in entries)
 
 
 def _negated(p: dict) -> dict:
@@ -756,28 +746,23 @@ def primary_constraints(m: Model):
             for v, k in zip(m.variables, m.kinetic)]
 
 
-def _doubled_pairs(m: Model):
-    return [(v, momentum_name(v)) for v in m.variables]
-
-
 def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
                          point: Mapping | None = None) -> float:
-    """Numeric constrained bracket of U and V at a point.
-
-    With no additional constraints, the momentum-elimination closed form is
-    used: 1/Gamma(1+alpha)^2 times gradU . f^{-1} . gradV on the model's own
-    variables (for coordinate pairs this is the inverse-form entry itself).
-    With additional constraints, the bracket is computed on the doubled phase
-    space: canonical pairs (v, mom_v), the primary constraints included
+    """Numeric constrained bracket of U and V at a point: the value of one
+    exact expression.  With no additional constraints it is
+    1/Gamma(1+alpha)^2 times gradU . f^{-1} . gradV on the model's own
+    variables (for coordinate pairs the inverse-form entry itself), not
+    simplified, so it is undefined where an entry of f^{-1} it reads is.
+    With additional constraints it is taken on the doubled phase space:
+    canonical pairs (v, mom_v), the primary constraints included
     automatically, the given constraints appended, and the standard
-    correction by the inverse constraint matrix applied.  Constraints whose
-    bracket row vanishes identically at the point commute with everything and
-    are excluded from the matrix; if the remainder is still singular the
-    matrix is degenerate.  The order is the model's, or for a symbolic
-    order the `alpha` the point binds; with neither, UnboundSymbol.
-    """
-    import numpy as np
-
+    correction by the inverse constraint matrix C applied (`_dirac_expr`).
+    Two rules read the point, where mom_v is its kinetic coefficient unless
+    bound: a constraint whose row of C is exactly 0 there is left out of C,
+    and the rest of C is degenerate if its rank is short, its null space
+    depends on the fields, or its determinant is 0 there.  The order is
+    the model's, or for a symbolic order the `alpha` the point binds; with
+    neither, UnboundSymbol."""
     binding = m.binding(point)
     a = m.alpha if m.alpha is not None else binding.get("alpha")
     if a is None:
@@ -790,40 +775,42 @@ def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
                 "constraint matrix of the primary set is singular; null basis "
                 + ", ".join(_vector_text(v) for v in form.null_basis))
         inverse = invert_form(form)
-        total = 0.0
-        for i, vi in enumerate(m.variables):
-            du = simplify(diff(U, vi))
-            if du == ZERO:
-                continue
-            for j, vj in enumerate(m.variables):
-                dv = simplify(diff(V, vj))
-                if dv == ZERO or inverse[i][j] == ZERO:
-                    continue
-                total += (evaluate(du, binding) * evaluate(inverse[i][j], binding)
-                          * evaluate(dv, binding))
-        return total / gamma(1.0 + a) ** 2
-    pairs = _doubled_pairs(m)
-    full = dict(binding)
-    for v, k in zip(m.variables, m.kinetic):
-        full.setdefault(momentum_name(v), evaluate(k, binding))
+        du, dv = ([diff(e, v) for v in m.variables] for e in (U, V))
+        terms = tuple(Product((du[i], inverse[i][j], dv[j]))
+                      for i in range(m.dimension) for j in range(m.dimension)
+                      if ZERO not in (du[i], inverse[i][j], dv[j]))
+        return evaluate(Product((_gamma_power(a, -2), Sum(terms))), binding)
+    full = {**{momentum_name(v): evaluate(k, binding)
+               for v, k in zip(m.variables, m.kinetic)}, **binding}
+    return _guarded([n for v in m.variables for n in (v, momentum_name(v))], a, full,
+                    lambda: _dirac_expr(U, V, m, constraints, a,
+                                        lambda e: evaluate(e, full) == 0))
+
+
+def _dirac_expr(U: Expr, V: Expr, m: Model, constraints, alpha, vanishes) -> Expr:
+    """{U, V} - {U, phi_i} (C^-1)_ij {phi_j, V} on the doubled phase space
+    of m, simplified once, with the rules of `coarse_dirac_bracket` and
+    C^-1 from `invert_form`; `vanishes(e)` says whether e is 0 where the
+    bracket is read."""
+    pairs = [(v, momentum_name(v)) for v in m.variables]
     phis = primary_constraints(m) + [simplify(c) for c in constraints]
-    nphi = len(phis)
-    C = np.zeros((nphi, nphi))
-    for i in range(nphi):
-        for j in range(i + 1, nphi):
-            C[i, j] = poisson_alpha(phis[i], phis[j], pairs, a, full)
-            C[j, i] = -C[i, j]
-    scale = max(1.0, float(np.max(np.abs(C))))
-    active = [i for i in range(nphi) if np.max(np.abs(C[i])) > 1e-12 * scale]
+    c = _antisymmetric(len(phis), lambda i, j: poisson_alpha_expr(
+        phis[i], phis[j], pairs, alpha))
+    active = [i for i, row in enumerate(c) if not all(map(vanishes, row))]
     if not active:
         raise DegenerateConstraintMatrix("every constraint commutes with the rest")
-    Ca = C[np.ix_(active, active)]
-    if np.linalg.matrix_rank(Ca, tol=1e-9 * scale) < len(active):
+    try:
+        form = SymplecticForm(tuple(tuple(c[i][j] for j in active) for i in active))
+        singular = form.rank < len(active) or vanishes(_rebuild(form.elimination[2]))
+    except RankDisagreement:
+        singular = True
+    if singular:
         raise DegenerateConstraintMatrix(
             "constraint matrix is singular beyond identically commuting rows")
-    base = poisson_alpha(U, V, pairs, a, full)
-    bu = np.array([poisson_alpha(U, phis[i], pairs, a, full) for i in active])
-    bv = np.array([poisson_alpha(phis[j], V, pairs, a, full) for j in active])
-    correction = float(bu @ np.linalg.solve(Ca, bv))
-    return base - correction
-
+    inverse = invert_form(form)
+    phis = [phis[i] for i in active]
+    bu = [poisson_alpha_expr(U, phi, pairs, alpha) for phi in phis]
+    bv = [poisson_alpha_expr(phi, V, pairs, alpha) for phi in phis]
+    terms = tuple(Product((Constant(Fraction(-1)), bu[i], inverse[i][j], bv[j]))
+                  for i in range(len(phis)) for j in range(len(phis)))
+    return simplify(Sum((poisson_alpha_expr(U, V, pairs, alpha),) + terms))

@@ -19,7 +19,15 @@ import fracsymp
 import pathlib
 
 from fracsymp.dynamics import SINGLE_ORDER, measure_frequency, simulate_landau
-from fracsymp.expr import diff, evaluate, parse_expression, to_text
+from fracsymp.expr import (
+    ZERO,
+    diff,
+    evaluate,
+    parse_expression,
+    simplify,
+    substitute,
+    to_text,
+)
 from fracsymp.frac import (
     SampledFunction,
     SymbolicPower,
@@ -37,7 +45,14 @@ from fracsymp.hall import (
     quantize_strong_field,
 )
 from fracsymp.modelfile import parse_model_file
-from fracsymp.symplectic import coarse_dirac_bracket, coarse_hamilton_jacobi, fj_iterate
+from fracsymp.symplectic import (
+    Model,
+    _dirac_expr,
+    coarse_dirac_bracket,
+    coarse_hamilton_jacobi,
+    fj_iterate,
+    momentum_name,
+)
 
 MODELS = pathlib.Path(fracsymp.__file__).parent / "models"
 
@@ -189,11 +204,37 @@ def test_criterion_8_chain_and_dirac_agree():
     direct = coarse_dirac_bracket(q, p, doc.model, cons, pt)
     from_table = evaluate(table.entry("q", "p"), doc.model.binding(pt))
     gap = abs(direct - from_table)
+    # a second-class chain with nonzero brackets: the Dirac bracket, as an
+    # expression with mom_v = a_v(eta), is the table entry exactly
+    names = ("q", "p", "x", "y", "z")
+    m = Model(names, tuple(parse_expression(t, variables=names)
+                           for t in ("p", "0", "y", "0", "0")),
+              parse_expression("1/2*(q^2 + p^2 + x^2 + y^2) + z*(x + q)",
+                               variables=names), 1.0)
+    chain2, table2 = fj_iterate(m)
+    cons2 = [c for lev in chain2.levels for c in lev.constraints]
+    pt2 = {"q": 0.3, "p": 0.5, "x": 0.2, "y": 0.7, "z": 0.1}
+    exact, values = {}, {}
+    for u, v in (("q", "p"), ("q", "y"), ("x", "p"), ("p", "y")):
+        U, V = (parse_expression(w, variables=names) for w in (u, v))
+        e = _dirac_expr(U, V, m, cons2, 1.0, lambda x: x == ZERO)
+        for w, k in zip(names, m.kinetic):
+            e = substitute(e, momentum_name(w), k)
+        exact[u, v] = simplify(e) == table2.entry(u, v)
+        values[u, v] = coarse_dirac_bracket(U, V, m, cons2, pt2)
+        gap = max(gap, abs(values[u, v] - evaluate(table2.entry(u, v), pt2)))
     elapsed = time.perf_counter() - t0
     ok = (gap < 1e-9 and abs(direct) < 1e-9 and abs(from_table) < 1e-9
+          and [to_text(c) for c in cons2] == ["q + x", "p + y"]
+          and all(exact.values())
+          and values == {("q", "p"): 0.5, ("q", "y"): -0.5, ("x", "p"): -0.5,
+                         ("p", "y"): 0.0}
           and elapsed < 2.0)
     assert report(8, ok, elapsed,
-                  "iterated {q, p} = %.1e, direct = %.1e" % (from_table, direct))
+                  "iterated {q, p} = %.1e, direct = %.1e; second-class "
+                  "{q, p}, {q, y}, {x, p}, {p, y} = %s, exact: %s"
+                  % (from_table, direct, list(values.values()),
+                     all(exact.values())))
 
 
 def test_criterion_9_two_stage_half_derivative_gap():

@@ -33,6 +33,14 @@ def test_quantize_canonical_pair(capsys):
     assert payload["table"]["brackets"][0][1] == "1"
 
 
+def test_quantize_prints_a_decimal_order_as_its_decimal(capsys):
+    """The order 0.3 enters the texts as 3/10, not as the binary fraction
+    of the float 0.3."""
+    code, out, err = run(capsys, "quantize", model("canonical_pair"), "--alpha", "0.3")
+    assert code == 0
+    assert json.loads(out)["table"]["prefactor"] == "Gamma(13/10)^(-2)"
+
+
 def test_quantize_landau_strong(capsys):
     code, out, err = run(capsys, "quantize", model("landau_strong"))
     assert code == 0

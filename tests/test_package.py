@@ -1,5 +1,6 @@
 """The package's public names: what `fracsymp.__all__` promises exists,
-and that each module reads every name it imports."""
+that each module reads every name it imports, and which modules import
+numpy."""
 
 import ast
 import pathlib
@@ -46,3 +47,20 @@ def test_every_module_reads_what_it_imports():
         if names:
             unread[path.stem] = names
     assert unread == {}
+
+
+def test_only_the_numeric_modules_import_numpy():
+    """The symbolic modules stay exact: numpy is imported, at any depth,
+    only by the fractional calculus, the integrators and the writers."""
+    importers = set()
+    for path in sorted(pathlib.Path(fracsymp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in modules):
+                importers.add(path.stem)
+    assert importers <= {"frac", "dynamics", "serialize"}

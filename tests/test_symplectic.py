@@ -39,13 +39,15 @@ from fracsymp.expr import (
     _terms,
     _text_pair,
     _to_poly,
+    diff,
     evaluate,
     parse_expression,
     simplify,
+    substitute,
     to_text,
     var,
 )
-from fracsymp.frac import gamma
+from fracsymp.frac import OutsideFragment, _gamma_power, gamma
 from fracsymp import symplectic
 from fracsymp.modelfile import parse_model_file, parse_model_text
 from fracsymp.serialize import render_json
@@ -63,7 +65,6 @@ from fracsymp.symplectic import (
     CONVENTION,
     SymplecticForm,
     _eliminate,
-    _gamma_power,
     _in_rational_span,
     _mul_sub,
     _nonzero,
@@ -100,11 +101,11 @@ def three_var(potential_text):
     return Model(names, kin, ex(potential_text, names), 1.0, {}, ())
 
 
-def two_pair():
+def two_pair(kinetic=("p1", "p2", "0", "0"), alpha=1.0):
     names = ("q1", "q2", "p1", "p2")
-    kin = tuple(ex(t, names) for t in ("p1", "p2", "0", "0"))
+    kin = tuple(ex(t, names) for t in kinetic)
     return Model(names, kin, ex("1/2*(q1^2 + q2^2 + p1^2 + p2^2)", names),
-                 1.0, {}, ())
+                 alpha, {}, ())
 
 
 # -- model validation --------------------------------------------------------
@@ -582,6 +583,14 @@ def test_coarse_hamilton_jacobi_needs_even_dimension():
         coarse_hamilton_jacobi(three_var("q"))
 
 
+def test_coarse_hamilton_jacobi_prints_a_decimal_order_as_its_decimal():
+    """At alpha = 0.3 the chain partial and the prefactor read 3/10, not the
+    binary fraction of the float 0.3."""
+    got = [(v, to_text(e)) for v, e in coarse_hamilton_jacobi(canonical_pair(0.3))]
+    assert got == [("q", "p^(17/10)*Gamma(13/10)^(-1)*Gamma(17/10)^(-1)"),
+                   ("p", "-q^(17/10)*Gamma(13/10)^(-1)*Gamma(17/10)^(-1)")]
+
+
 def test_coarse_hamilton_jacobi_refuses_a_symbolic_order():
     """The chain partial needs a numeric order; a symbolic one is not read
     as alpha = 1."""
@@ -664,6 +673,78 @@ def test_dirac_bracket_matches_chain_output():
     direct = coarse_dirac_bracket(q, p, doc.model, cons, pt)
     from_table = evaluate(table.entry("q", "p"), doc.model.binding(pt))
     assert abs(direct - from_table) < 1e-9
+
+
+def test_dirac_bracket_guards_the_doubled_coordinates():
+    """At a fractional order each coordinate and momentum of the doubled
+    space must be nonnegative; mom_p1 is its kinetic coefficient -q1/2."""
+    m = two_pair(("p1", "p2", "-1/2*q1", "-1/2*q2"), 0.5)
+    names = m.variables
+    pt = {"q1": 0.1, "q2": 0.2, "p1": 0.3, "p2": 0.4}
+    with pytest.raises(OutsideFragment, match="'mom_p1' = -0.05 must be positive"):
+        coarse_dirac_bracket(ex("q2", names), ex("p2", names), m,
+                             [ex("q1", names), ex("p1", names)], pt)
+
+
+def test_dirac_bracket_leaves_out_a_row_that_vanishes_at_the_point():
+    """At alpha = 1/2 a row of C that is 0 at the point, though not as an
+    expression, commutes there and is left out; keeping it gives 0.4585."""
+    m = two_pair(alpha=0.5)
+    names = m.variables
+    pt = {"q1": 0.1, "q2": 0.2, "p1": 0.3, "p2": 0.4}
+    got = coarse_dirac_bracket(ex("q2", names), ex("p2", names), m,
+                               [ex("q1", names), ex("p1", names)], pt)
+    assert got == 0.0
+
+
+def test_dirac_bracket_refuses_a_matrix_singular_at_the_point():
+    """C of the constraints q1*q2 and p1 is regular as an expression, and
+    its determinant vanishes at q2 = 0."""
+    m = two_pair()
+    names = m.variables
+    cons = [ex("q1*q2", names), ex("p1", names)]
+    pt = {"q1": 0.1, "q2": 0.0, "p1": 0.3, "p2": 0.4}
+    with pytest.raises(DegenerateConstraintMatrix, match="singular beyond"):
+        coarse_dirac_bracket(ex("q2", names), ex("p2", names), m, cons, pt)
+    pt["q2"] = 0.2
+    assert coarse_dirac_bracket(ex("q2", names), ex("p2", names), m, cons, pt) == 1.0
+
+
+def test_regular_tables_satisfy_the_jacobi_identity():
+    """Every cyclic sum w^il d_l w^jk + w^jl d_l w^ki + w^kl d_l w^ij of a
+    regular table of a bundled or golden model is exactly 0 at two seeded
+    rational points: the form f = da is closed.  field4's table is the one
+    whose entries depend on the fields."""
+    rng = random.Random(20261020)
+    field_dependent = set()
+    for path in sorted(MODELS.glob("*.model")) + sorted(_GOLDEN.glob("*.model")):
+        doc = parse_model_file(path)
+        _, table = fj_iterate(doc.model, doc.gauge_conditions)
+        if table is None:
+            continue
+        names = table.variables
+        n = len(names)
+        for _ in range(2):
+            pt = {v: Constant(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                  for v in doc.model.variables}
+
+            def at(e):
+                for v, c in pt.items():
+                    e = substitute(e, v, c)
+                return simplify(e)
+
+            w = [[at(e) for e in row] for row in table.entries]
+            dw = [[[at(diff(e, v)) for v in names] for e in row] for row in table.entries]
+            if any(d != ZERO for row in dw for col in row for d in col):
+                field_dependent.add(path.stem)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        terms = tuple(Product((w[a][l], dw[b][c][l]))
+                                      for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                                      for l in range(n))
+                        assert simplify(Sum(terms)) == ZERO, (path.name, i, j, k)
+    assert "field4" in field_dependent
 
 
 def test_primary_constraints_on_doubled_space():
