@@ -49,7 +49,10 @@ stepping arithmetic shows up here.  Two alpha = 1 runs of
 `canonical_pair.model` pin the CSV number format itself:
 `canonical_pair_exponent`, from (3e-05, 0), has 201 cells that print in
 exponent form, and `canonical_pair_zeros`, from (0, -0.0), has 101 `-0`
-cells.
+cells.  The two momentum rates of `anharmonic4.model` share the power
+q2^3; its runs are Heun and explicit Euler at alpha = 1, the Euler run 300
+steps long so that it crosses a block of rows, and both fractional
+schemes at alpha = 0.5.
 """
 
 import hashlib
@@ -184,6 +187,11 @@ TRAJECTORIES = {
     "gamma_roots_gl": _GAMMA_ROOTS + _GL,
     "gamma_roots_pece": _GAMMA_ROOTS + _PC,
     "anharmonic4_heun": _ANHARMONIC + _PC,
+    "anharmonic4_euler": (str(GOLDEN / "anharmonic4.model"), "--T", "3",
+                          "--h", "1e-2", "--initial", "0.5,-0.4,0.2,0.1",
+                          *_GL),
+    "anharmonic4_gl": _ANHARMONIC + ("--alpha", "0.5") + _GL,
+    "anharmonic4_pece": _ANHARMONIC + ("--alpha", "0.5") + _PC,
     "canonical_pair_exponent": _CANONICAL + ("--initial=3e-05,0",),
     "canonical_pair_zeros": _CANONICAL + ("--initial=0,-0.0",),
 }
