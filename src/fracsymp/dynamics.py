@@ -13,10 +13,12 @@ than through cancellation in the fractional weights.
 
 Cost model.  Every run steps through one generated Python function that
 holds a block's whole step loop with the right-hand side written out
-inline (from the emitter of expr.compile_expr; twice in a Heun or
+inline (from the emitter of expr.compile_expr, which computes each
+subtree the right-hand sides share once; twice in a Heun or
 predictor-corrector step): the state lives in locals, so a step is O(d)
 float operations and finiteness checks with no right-hand-side call, and a
-block's states go into the state array with one slice assignment.  At
+block's states are collected in one flat list that one np.fromiter turns
+into the block's rows of the state array.  At
 alpha = 1 that is the whole Euler or Heun step, ROW_BLOCK steps per block.
 A fractional step adds one contiguous-slice dot per weight family and
 writes the row that the next step's dot reads: its increment over the
@@ -290,9 +292,9 @@ def _nested(a: int, b: int, base, histories):
 # -- the generated step loops ------------------------------------------------
 
 # The rows an alpha = 1 run steps per call of its loop, collected before one
-# slice assignment writes them into the state array: enough to spread the
-# assignment's fixed cost thin, few enough that their tuples stay small
-# (about 40 KB at d = 4).
+# conversion writes them into the state array: enough to spread the
+# conversion's fixed cost thin, few enough that their list stays small
+# (about 33 KB at d = 4).
 ROW_BLOCK = 256
 
 
@@ -328,11 +330,13 @@ def _loop(d: int, head: list, target: str, body: list, **names):
     start from through rows: np.ndarray.tolist gives Python floats, list
     gives float64 scalars, and the arithmetic is theirs.  `for target:`
     walks the steps, and `body` makes one, with the state in the locals
-    y0, y1, ... and `names` as globals.  The states are written into y
-    with one slice assignment.  run returns the first step it did not
-    write: stop, or a step whose arithmetic raised one of _NOT_FLOAT64 or
-    whose state is not finite.
+    y0, y1, ... and `names` as globals.  The states go into one flat list,
+    which np.fromiter converts and writes into y once, at the end of the
+    block or at the step that stops it.  run returns the first step it did
+    not write: stop, or a step whose arithmetic raised one of _NOT_FLOAT64
+    or whose state is not finite.
     """
+    convert = "_fromiter(out, float, len(out)).reshape(-1, %d)" % d
     source = "\n".join([
         "def run(y, rows, a, first, stop):",
         *("    " + line for line in head),
@@ -340,18 +344,18 @@ def _loop(d: int, head: list, target: str, body: list, **names):
         "    try:",
         "        for %s:" % target,
         *("            " + line for line in body),
-        "            out.append((%s))" % _slots("y", d),
+        "            out += (%s)" % _slots("y", d),
         "        else:",
-        "            y[first:stop] = out",
+        "            y[first:stop] = %s" % convert,
         "            return stop",
         "    except _NOT_FLOAT64:",
         "        pass",
         "    if out:",
-        "        y[first:n] = out",
+        "        y[first:n] = %s" % convert,
         "    return n",
         ""])
     return _define(source, "run", _isfinite=math.isfinite,
-                   _NOT_FLOAT64=_NOT_FLOAT64, **names)
+                   _NOT_FLOAT64=_NOT_FLOAT64, _fromiter=np.fromiter, **names)
 
 
 def _drive(run, y, a: int, b: int):

@@ -888,7 +888,12 @@ def compile_expr(exprs: Iterable[Expr], order: Iterable[str],
 
     Sums are emitted as (0 + a + ...) and products as (1.0 * a * ...), the
     starting values and order of evaluate(), so F agrees with evaluate bit
-    for bit, signed zeros included.  The arithmetic is that of y's
+    for bit, signed zeros included.  A subtree that reads the state or
+    calls Gamma and occurs more than once among the expressions (such as a
+    power y_j ** 3.0 that several gradient components share) is computed
+    once, at its first occurrence, and read back after that; the values
+    are evaluated in order, so the float operations and the first error
+    are those of evaluate.  The arithmetic is that of y's
     elements: Python float ** raises OverflowError or ZeroToNegativePower
     and turns complex for a negative state-dependent base under a
     fractional exponent, where numpy float64 elements give inf or nan.
@@ -908,11 +913,42 @@ def _emit_values(exprs: Iterable[Expr], order: Iterable[str],
                  binding: Binding | None = None) -> list:
     """The Python source of each expression's value, the names in `order`
     read from the slots y0, y1, ...: compile_expr's emitter, with its rules
-    and its errors."""
+    and its errors.
+
+    A compound subtree that reads a slot or calls _gamma and occurs more
+    than once in the list is computed once: its first occurrence is
+    written `(_cK := ...)` and every later one `_cK`.  Subtrees are keyed
+    on the nodes themselves, and a repeat is not walked again, so what a
+    shared subtree holds is counted once.  Python evaluates left to right,
+    so a value stays the same float operations with the same first
+    exception, as long as the caller evaluates the values in list order,
+    and all of them each time, as compile_expr and the step loops do."""
     from .frac import FracError
 
     names = {name: "y%d" % i for i, name in enumerate(order)}
     b = dict(binding or {})
+    counts: dict = {}
+    slots: dict = {}
+
+    def count(n) -> bool:
+        """Count n's compound subtrees that read a slot or call _gamma,
+        and say whether n itself does."""
+        if isinstance(n, (Variable, SymbolicConstant)):
+            return n.name in names
+        if isinstance(n, Constant):
+            return False
+        if n in counts:
+            counts[n] += 1
+            return True
+        live = isinstance(n, GammaFactor)
+        for k in (n.terms if isinstance(n, Sum) else
+                  n.factors if isinstance(n, Product) else
+                  (n.base,) if isinstance(n, Power) else
+                  (n.arg,) if live else ()):
+            live = count(k) or live
+        if live:
+            counts[n] = 1
+        return live
 
     def num(v: float) -> str:
         return "(%s)" % (repr(v) if math.isfinite(v) else "float('%r')" % v)
@@ -928,6 +964,16 @@ def _emit_values(exprs: Iterable[Expr], order: Iterable[str],
             if n.name == RESERVED_EULER:
                 return num(EULER_GAMMA)
             raise UnboundSymbol(n.name)
+        slot = slots.get(n)
+        if slot is not None:
+            return slot
+        text = compound(n)
+        if counts.get(n, 0) > 1:
+            slot = slots[n] = "_c%d" % len(slots)
+            return "(%s := %s)" % (slot, text)
+        return text
+
+    def compound(n) -> str:
         if isinstance(n, Sum):
             return "(%s)" % " + ".join(["0"] + [emit(t) for t in n.terms])
         if isinstance(n, Product):
@@ -948,6 +994,9 @@ def _emit_values(exprs: Iterable[Expr], order: Iterable[str],
             return "_gamma(%s)" % emit(n.arg)
         raise TypeError(f"unknown node {n!r}")
 
+    exprs = list(exprs)
+    for e in exprs:
+        count(e)
     return [emit(e) for e in exprs]
 
 

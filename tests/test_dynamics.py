@@ -31,9 +31,10 @@ from fracsymp.dynamics import (
     measure_frequency,
     simulate_landau,
 )
-from fracsymp.expr import ExprError, compile_expr, evaluate, parse_expression
+from fracsymp.expr import (ExprError, _emit_values, compile_expr, evaluate,
+                           parse_expression, to_text)
 from fracsymp.frac import gamma, product_weights
-from fracsymp.modelfile import parse_model_file
+from fracsymp.modelfile import parse_model_file, parse_model_text
 from fracsymp.symplectic import fractional_equations_of_motion
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -148,7 +149,18 @@ def test_order_one_euler_first_order_convergence():
 
 # The alpha = 1 steps as closures over compile_expr's F, kept as the oracle
 # for the loop integrate() generates with the right-hand side inlined: the
-# same arithmetic in the same order, so every row must be equal bit for bit.
+# same arithmetic in the same order, so every row must be equal bit for bit,
+# and a run that overflows must stop at the same step.  A step is stepped on
+# Python floats and redone on float64 where those raise.
+
+_NOT_FLOAT64 = (OverflowError, ZeroDivisionError, TypeError)
+
+
+def _checked(row, n):
+    if not all(map(math.isfinite, row)):
+        raise Overflow("non-finite state at step %d" % n)
+    return row
+
 
 def _classical_step(scheme, h):
     hh = 0.5 * h
@@ -170,7 +182,11 @@ def _classical_oracle(p):
     y = np.zeros((len(p.grid()), p.dimension))
     y[0] = cur = list(p.initial)
     for n in range(1, len(y)):
-        y[n] = cur = step(cur, F)
+        try:
+            row = step(cur, F)
+        except _NOT_FLOAT64:
+            row = step(cur, lambda v: F(np.array(v)))
+        y[n] = cur = _checked(row, n)
     return y
 
 
@@ -180,6 +196,55 @@ def _anharmonic4(steps, scheme, alpha=1.0):
     return FractionalIVP(model.variables, rhs, alpha, (0.5, -0.4, 0.2, 0.1),
                          steps * 1e-3, 1e-3, scheme=scheme,
                          constants={**model.constants, "alpha": alpha})
+
+
+# The benchmark's flow family: V = |eta|^2/2 + sum(eta^4)/8 under a constant
+# two-form whose inverse has no zero entry off the diagonal, so that each
+# rate holds the cubes of the three other variables.
+_FLOW4 = """variables: x1, x2, x3, x4
+alpha: 1
+kinetic x1: 0
+kinetic x2: x1
+kinetic x3: -3*x1 - x2
+kinetic x4: x1 + 3*x2 - 2*x3
+potential: 1/2*(x1^2 + x2^2 + x3^2 + x4^2) + 1/8*(x1^4 + x2^4 + x3^4 + x4^4)
+"""
+
+
+def test_each_shared_cube_is_computed_once():
+    model = parse_model_text(_FLOW4).model
+    rhs = [e for _, e in fractional_equations_of_motion(model)]
+    names = model.variables
+    for i, e in enumerate(rhs):
+        cubes = {v for v in names if "%s^3" % v in to_text(e)}
+        assert cubes == set(names) - {names[i]}
+    # twelve cubes in the rates, four of them distinct
+    assert "".join(_emit_values(rhs, names)).count("**") == 4
+    F = compile_expr(rhs, names)
+    for point in ((0.3, -0.7, 1.1, 0.05), (-2.0, 0.5, -0.25, 3.0)):
+        want = [evaluate(e, dict(zip(names, point))) for e in rhs]
+        assert [v.hex() for v in F(point)] == [v.hex() for v in want]
+
+
+# Right-hand sides whose components share powers: a rotation with one
+# shared denominator, and a flow that overflows before step 100.
+def _sharing(steps, scheme, alpha=1.0):
+    return [ivp(("q", "p"), texts, alpha, initial, steps * 1e-2, 1e-2,
+                scheme=scheme)
+            for texts, initial in (
+                (("-p*(1 + q^2 + p^2)^(-1) - q^3",
+                  "q*(1 + q^2 + p^2)^(-1) + 1/2*q^3"), (0.6, -0.3)),
+                (("q^3 + p^3*q^2", "q^3 - p^3 + q^2"), (1.5, 1.0)))]
+
+
+def _states(run, *args):
+    """The states run(*args) computes, or the message of its Overflow; as
+    in integrate, float64 overflow on the way warns of nothing."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run(*args)
+    except Overflow as exc:
+        return str(exc)
 
 
 # The generated loop writes its rows in blocks of 256: runs end just before,
@@ -192,6 +257,12 @@ def test_classical_loop_matches_stepped_closures(steps, scheme):
     for p in (_anharmonic4(steps, scheme), landau):
         assert p.alpha == 1.0 and len(p.grid()) == steps + 1
         assert np.array_equal(integrate(p).states, _classical_oracle(p))
+    rotation, blowup = _sharing(steps, scheme)
+    assert np.array_equal(integrate(rotation).states,
+                          _classical_oracle(rotation))
+    want = _states(_classical_oracle, blowup)
+    assert isinstance(want, str)
+    assert _states(integrate, blowup) == want
 
 
 # The fractional steps as closures over compile_expr's F and the history
@@ -200,18 +271,9 @@ def test_classical_loop_matches_stepped_closures(steps, scheme):
 # right-hand side inlined.  The arithmetic and every dot slice are the same,
 # in the same order, so every row must be equal bit for bit.
 
-_NOT_FLOAT64 = (OverflowError, ZeroDivisionError, TypeError)
-
-
 def _near(hist, a, n):
     lo = max(a, hist.first, n - hist.m)
     return hist.wr[hist.m - n + lo:].dot(hist.x[lo:n]).tolist()
-
-
-def _checked(row, n):
-    if not all(map(math.isfinite, row)):
-        raise Overflow("non-finite state at step %d" % n)
-    return row
 
 
 def _float_rows(step, F, y, first, stop):
@@ -305,12 +367,17 @@ def test_fractional_loops_match_stepped_closures(steps, scheme):
                             composition=SEQUENTIAL_ALPHA_ALPHA, scheme=scheme)
     decay = ivp(("q",), ("-q",), 0.6, (1.0,), steps * 1e-2, 1e-2,
                 scheme=scheme)
-    for p in (decay, _anharmonic4(steps, scheme, alpha=0.6), landau):
+    rotation, blowup = _sharing(steps, scheme, alpha=0.6)
+    for p in (decay, _anharmonic4(steps, scheme, alpha=0.6), landau, rotation):
         assert len(p.grid()) == steps + 1
         for window in (None, BASE // 3, BASE):
             assert np.array_equal(integrate(p, window).states,
                                   _stepped_fractional(p, window)), (
                 p.variables, window)
+    for window in (None, BASE // 3):
+        want = _states(_stepped_fractional, blowup, window)
+        assert isinstance(want, str)
+        assert _states(integrate, blowup, window) == want
 
 
 # Every loop has the right-hand side written inline; only the

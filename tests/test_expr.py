@@ -235,17 +235,34 @@ def _compound(children):
 
 
 _POSITIVE = st.floats(1e-3, 1e3)
+_TREES = st.recursive(_LEAVES, _compound, max_leaves=12)
+
+
+@st.composite
+def _sharing_lists(draw):
+    """One to three trees whose leaves may come from a common pool of
+    subtrees, so that compound subtrees repeat within and across them."""
+    pool = draw(st.lists(_compound(_TREES), min_size=1, max_size=2))
+    tree = st.recursive(st.one_of(_LEAVES, st.sampled_from(pool)), _compound,
+                        max_leaves=12)
+    return draw(st.lists(tree, min_size=1, max_size=3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.recursive(_LEAVES, _compound, max_leaves=12),
-                min_size=1, max_size=3),
-       _POSITIVE, _POSITIVE, _POSITIVE)
+@given(_sharing_lists(), _POSITIVE, _POSITIVE, _POSITIVE)
+# the shape of a quartic potential's gradient rates: every cube is shared
+@example([parse("1/3*p + 1/6*p^3 + 1/2*q^3"),
+          parse("-1/3*q - 1/6*q^3 + 1/4*p^3"),
+          parse("-1/2*q^3 - 1/4*p^3*Gamma(1 + k)")], 0.7, -1.3, 0.5)
+# the shared q^(-1) first fails in the second component, at q = 0
+@example([parse("p + 1"), parse("k*q^(-1) + p"), parse("q^(-1)")],
+         0.0, 2.0, 3.0)
 def test_compiled_vector_matches_evaluate_bitwise(exprs, q, p, k):
     """On trees of sums, products, integer, fractional and negative powers,
-    Gamma factors, bound symbols and gamma_ec at positive points, the
-    generated function returns evaluate()'s values bit for bit, or raises
-    what evaluate raises on the first failing component."""
+    Gamma factors, bound symbols and gamma_ec at positive points, with
+    subtrees shared within and across the trees, the generated function
+    returns evaluate()'s values bit for bit, or raises what evaluate raises
+    on the first failing component."""
     fn = compile_expr(exprs, ("q", "p"), {"k": k})
     want = []
     for e in exprs:
