@@ -162,6 +162,16 @@ def _checked(row, n):
     return row
 
 
+def _float_rows(step, F, y, first, stop):
+    cur = y[first - 1].tolist()
+    for n in range(first, stop):
+        try:
+            row = step(cur, n, F)
+        except _NOT_FLOAT64:
+            row = step(cur, n, lambda v: F(np.array(v)))
+        y[n] = cur = row
+
+
 def _classical_step(scheme, h):
     hh = 0.5 * h
 
@@ -180,13 +190,8 @@ def _classical_oracle(p):
     F = compile_expr(p.rhs, p.variables, p.constants)
     step = _classical_step(p.scheme, p.step)
     y = np.zeros((len(p.grid()), p.dimension))
-    y[0] = cur = list(p.initial)
-    for n in range(1, len(y)):
-        try:
-            row = step(cur, F)
-        except _NOT_FLOAT64:
-            row = step(cur, lambda v: F(np.array(v)))
-        y[n] = cur = _checked(row, n)
+    y[0] = p.initial
+    _float_rows(lambda cur, n, F: _checked(step(cur, F), n), F, y, 1, len(y))
     return y
 
 
@@ -274,16 +279,6 @@ def test_classical_loop_matches_stepped_closures(steps, scheme):
 def _near(hist, a, n):
     lo = max(a, hist.first, n - hist.m)
     return hist.wr[hist.m - n + lo:].dot(hist.x[lo:n]).tolist()
-
-
-def _float_rows(step, F, y, first, stop):
-    cur = y[first - 1].tolist()
-    for n in range(first, stop):
-        try:
-            row = step(cur, n, F)
-        except _NOT_FLOAT64:
-            row = step(cur, n, lambda v: F(np.array(v)))
-        y[n] = cur = row
 
 
 def _gl_step(hist, a, b, ha, y0):
