@@ -176,12 +176,10 @@ def _model_trajectory(args):
         raise ValueError("--initial is required for model-file runs")
     initial = tuple(float(t) for t in args.initial.split(","))
     rhs = symplectic.fractional_equations_of_motion(model)
-    constants = dict(model.constants)
-    constants["alpha"] = model.alpha
     ivp = dynamics.FractionalIVP(
         model.variables, tuple(e for _, e in rhs), model.alpha, initial,
         args.T, args.h, scheme=args.scheme or dynamics.GRUNWALD_LETNIKOV,
-        composition=args.composition, constants=constants)
+        composition=args.composition, constants=model.binding())
     return dynamics.integrate(ivp, memory_window=args.memory_window)
 
 

@@ -13,8 +13,9 @@ lines and lines starting with # are ignored.  Keys:
 
 Expressions are parsed over the declared variables; any other name must be
 a declared constant (the order name alpha and the reserved gamma_ec are
-always available).  Parsed expressions are simplified immediately, so the
-canonical rendering of a parsed document reparses to the same document.
+always available, and no constant may take either name).  Parsed
+expressions are simplified immediately, so the canonical rendering of a
+parsed document reparses to the same document.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .expr import ExprError, FracsympError, parse_expression, simplify, to_text
-from .symplectic import Model, ModelError
+from .symplectic import RESERVED_NAMES, Model, ModelError
 
 _LINE_RE = re.compile(
     r"^([A-Za-z_][A-Za-z0-9_]*)(?:[ \t]+([A-Za-z_][A-Za-z0-9_]*))?[ \t]*:[ \t]*(.*)$")
@@ -132,6 +133,8 @@ def parse_model_text(text: str) -> ModelDocument:
                     raise ModelFileError("bad constant name %r" % name, lineno)
                 if name in constants or name in variables:
                     raise ModelFileError("name %r declared twice" % name, lineno)
+                if name in RESERVED_NAMES:
+                    raise ModelFileError("name %r is reserved" % name, lineno)
                 try:
                     constants[name] = float(num.strip())
                 except ValueError:

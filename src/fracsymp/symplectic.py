@@ -24,6 +24,7 @@ from .expr import (
     ONE,
     Power,
     Product,
+    RESERVED_EULER,
     Sum,
     ZERO,
     UnboundSymbol,
@@ -32,7 +33,6 @@ from .expr import (
     _cancelled,
     _denominator_lcm,
     _divide,
-    _mono_mul,
     _poly_mul,
     _rebuild,
     _round_trips,
@@ -57,6 +57,9 @@ GAUGE_THEORY = "gauge-theory"
 INCONSISTENT = "inconsistent"
 
 CONVENTION = "f_ij = d a_j / d eta_i - d a_i / d eta_j"
+
+# names every model may use and none may declare as a constant
+RESERVED_NAMES = frozenset({"alpha", RESERVED_EULER})
 
 
 class SymplecticError(FracsympError):
@@ -95,7 +98,8 @@ class Model:
     """First-order action data: variables eta, kinetic coefficients a_i(eta),
     potential V(eta).  alpha is the derivative order; None keeps the order as
     the symbol `alpha` in expressions.  `positive` lists variables that may be
-    assumed positive during simplification."""
+    assumed positive during simplification.  A constant may take neither a
+    variable's name nor a reserved one (`RESERVED_NAMES`)."""
 
     variables: tuple
     kinetic: tuple
@@ -114,11 +118,14 @@ class Model:
                 f"{len(self.variables)} variables but {len(self.kinetic)} kinetic terms")
         if len(set(self.variables)) != len(self.variables):
             raise ModelError("duplicate variable names")
+        taken = set(self.constants) & (set(self.variables) | RESERVED_NAMES)
+        if taken:
+            raise ModelError(f"constant names {sorted(taken)} are variables or reserved")
         if self.alpha is not None:
             FracOrder(self.alpha)
         # `alpha` is always a legal name: binding() supplies the numeric order,
         # and a symbolic-order model simply leaves it unbound.
-        allowed = set(self.variables) | set(self.constants) | {"gamma_ec", "alpha"}
+        allowed = set(self.variables) | set(self.constants) | RESERVED_NAMES
         for label, e in [("potential", self.potential)] + [
                 (f"kinetic[{v}]", k) for v, k in zip(self.variables, self.kinetic)]:
             extra = free_names(e) - allowed
@@ -132,7 +139,7 @@ class Model:
     def binding(self, point: Mapping | None = None) -> dict:
         out = dict(self.constants)
         if self.alpha is not None:
-            out.setdefault("alpha", self.alpha)
+            out["alpha"] = self.alpha
         if point:
             out.update(point)
         return out
@@ -142,14 +149,16 @@ class Model:
 class SymplecticForm:
     """An antisymmetric two-form, given by its entries alone.  One exact
     elimination of [F | I] at construction gives its rank (the pivot
-    count), its null basis and, for a regular form, what `invert_form`
-    reads the inverse from; a null space that constant vectors do not span
+    count), its null basis from the pivot rows' free columns, and
+    `elimination`: the last pivot p, the sign of the row permutation and
+    the right block (None for a singular form), from which `invert_form`
+    reads the inverse.  A null space that constant vectors do not span
     raises RankDisagreement."""
 
     entries: tuple
     rank: int = field(init=False)
     null_basis: tuple = field(init=False)
-    # (rows, pivot columns, last pivot, sign) of `_eliminate` on [F | I]
+    # (p, sign, right) of `_eliminate` on [F | I]
     elimination: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,10 +166,10 @@ class SymplecticForm:
         rows = [[_to_poly(e, frozenset()) for e in row]
                 + [{(): Fraction(1)} if j == i else {} for j in range(n)]
                 for i, row in enumerate(self.entries)]
-        pivots, p, sign = _eliminate(rows, n)
+        pivots, p, sign, free, right = _eliminate(rows, n)
         object.__setattr__(self, "rank", len(pivots))
-        object.__setattr__(self, "null_basis", _null_basis(rows, pivots, p, n))
-        object.__setattr__(self, "elimination", (rows, pivots, p, sign))
+        object.__setattr__(self, "null_basis", _null_basis(free, pivots, p, n))
+        object.__setattr__(self, "elimination", (p, sign, right))
 
     @property
     def dimension(self) -> int:
@@ -217,7 +226,6 @@ class BracketTable:
         n = len(self.variables)
         none = frozenset()
         prefactor = self.prefactor
-        shift = _to_poly(prefactor, none)
         plain = [["0"] * n for _ in range(n)]
         scaled = plain if prefactor == ONE else [["0"] * n for _ in range(n)]
         for i, row in enumerate(self.entries):
@@ -225,12 +233,11 @@ class BracketTable:
                 raise SymplecticError("table is not antisymmetric")
             for j in range(i + 1, n):
                 upper, lower = row[j], self.entries[j][i]
-                d = _to_poly(upper, none)
-                if _to_poly(lower, none) != _negated(d):
+                if _to_poly(lower, none) != _negated(_to_poly(upper, none)):
                     raise SymplecticError("table is not antisymmetric")
                 plain[i][j], plain[j][i] = _text_pair(upper)
                 if scaled is not plain:
-                    scaled[i][j], scaled[j][i] = _text_pair(_rebuild(_shifted(shift, d)))
+                    scaled[i][j], scaled[j][i] = _text_pair(_scaled(prefactor, upper))
         out = {
             "variables": list(self.variables),
             "alpha": "symbolic" if self.alpha is None else float(self.alpha),
@@ -249,21 +256,13 @@ class BracketTable:
 
 def _scaled(prefactor: Expr, e: Expr) -> Expr:
     """The canonical form of prefactor * e, for the one-monomial prefactor
-    of `_gamma_power` and a canonical e: a monomial shift of e's dict,
-    which e keeps from its rebuild unless a factor of it converts per
-    `positive` set (`expr._rebuild`).  Times a unit monomial, no
-    multi-term denominator of e divides its numerator where it did not
-    before, so `simplify` would cancel nothing."""
+    of `_gamma_power` and a canonical e: e's dict, which e keeps from its
+    rebuild unless a factor of it converts per `positive` set
+    (`expr._rebuild`), times the prefactor's, rebuilt.  Times a unit
+    monomial, no multi-term denominator of e divides its numerator where
+    it did not before, so `simplify` would cancel nothing."""
     none = frozenset()
-    return _rebuild(_shifted(_to_poly(prefactor, none), _to_poly(e, none)))
-
-
-def _shifted(shift: dict, p: dict) -> dict:
-    """p times the one-monomial dict `shift`, as `_poly_mul` gives it:
-    each monomial of p moves by shift's, so no two of them meet."""
-    (sm, sc), = shift.items()
-    one = sc == 1
-    return {_mono_mul(sm, m): c if one else c * sc for m, c in p.items()}
+    return _rebuild(_poly_mul(_to_poly(prefactor, none), _to_poly(e, none)))
 
 
 def _primitive(v):
@@ -334,15 +333,20 @@ def _step(mat, r: int, c: int, cols, prev: dict):
 
 def _eliminate(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
-    of Laurent-polynomial dicts of `_to_poly`, in place.
+    of Laurent-polynomial dicts of `_to_poly`, which it leaves unchanged.
+    Returns (pivot columns, p, sign of the row permutation, free, right):
+    p is the last pivot, free[r] maps each free column to pivot row r's
+    entry (`_null_basis`), and right is the carried block after a full-rank
+    elimination of a square left block (`invert_form`), else None; an entry
+    of right that simplifies to 0 may still be a nonzero dict.
 
     Pivots are sought in the first `ncols` columns in column order, the first
     entry at or below the next pivot row that is not 0 winning; later
     columns are carried along.  Step k updates every other row as
     (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact.  The
     first pass updates only the first `ncols` columns: each later one and
-    each free column met so far (the null basis reads those).  Only when
-    every one of them has a pivot does a second pass replay the steps over
+    each free column met so far.  Only when the left block is square and
+    each of its columns has a pivot does a second pass replay the steps over
     the carried columns, step k with the pivot row k, its pivot p_k, p_(k-1)
     and each row's column k, which step k read and no later step changed,
     as the multiplier; row swaps commute with the steps that follow them,
@@ -351,19 +355,13 @@ def _eliminate(rows, ncols: int):
 
     The loop runs on integers.  On entry each row is scaled by the lcm of
     its coefficient denominators, a scale that moves with the row, and each
-    monomial is packed (`_Packing`).  Every entry is then a minor of the
-    scaled rows: p and the pivot rows carry the product S of the pivot
-    rows' scales, any other row S times its own.  When every base of the
-    packing round-trips (`expr._round_trips`), a nonzero dict is a nonzero
-    element, so a candidate pivot is 0 only when its dict is empty;
-    otherwise, since an opaque sum denominator, root or power base can
-    make a nonzero dict 0, it is 0 when it simplifies to 0.  On return
-    those scales are divided out, and `rows` holds dicts again only where
-    a caller reads: p in each pivot row's own pivot column, the pivot
-    rows' free columns, and the carried columns after a full-rank
-    elimination, where an entry that simplifies to 0 may still be a
-    nonzero dict.  Every other entry is {}.  Returns (pivot columns, p,
-    sign of the row permutation)."""
+    monomial is packed (`_Packing`).  p and every entry of a pivot row are
+    then minors of the scaled rows: S times those of `rows`, S the product
+    of the pivot rows' scales, which what is returned divides out.  When
+    every base of the packing round-trips (`expr._round_trips`), a nonzero
+    dict is a nonzero element, so a candidate pivot is 0 only when its dict
+    is empty; otherwise, since an opaque sum denominator, root or power
+    base can make a nonzero dict 0, it is 0 when it simplifies to 0."""
     pk = _Packing([x for row in rows for x in row], 4 * len(rows))
     exact = all(_round_trips(b, 1) for b in pk.bases)
     scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
@@ -387,30 +385,24 @@ def _eliminate(rows, ncols: int):
         pivots.append(c)
         prev = mat[r][c]
     rank = len(pivots)
-    carried = ()
-    if mat and rank == ncols:
+    factor = Fraction(1, math.prod(scales[:rank]))
+    right = None
+    if mat and rank == ncols == len(mat):
         carried = range(ncols, len(mat[0]))
         before = {0: 1}
         for k in range(rank):  # pivot k sits in column k
             _step(mat, k, k, carried, before)
             before = mat[k][k]
-    s = math.prod(scales[:rank])
-    p = pk.from_ints(prev, Fraction(1, s))
-    for i, row in enumerate(mat):
-        factor = Fraction(1, s if i < rank else s * scales[i])
-        out = [{} for _ in row]
-        for j in [*free, *carried] if i < rank else carried:
-            out[j] = pk.from_ints(row[j], factor)
-        if i < rank:
-            out[pivots[i]] = dict(p)
-        rows[i] = out
-    return pivots, p, sign
+        right = [[pk.from_ints(row[j], factor) for j in carried] for row in mat]
+    return (pivots, pk.from_ints(prev, factor), sign,
+            [{c: pk.from_ints(row[c], factor) for c in free} for row in mat[:rank]],
+            right)
 
 
-def _null_basis(rows, pivots, p, n: int) -> tuple:
+def _null_basis(free, pivots, p, n: int) -> tuple:
     """One primitive null vector per free column fc of an eliminated form:
     v_fc = 1, the other free entries 0, and v_pc = -a_(r, fc) / p, simplified,
-    for the pivot column pc of row r."""
+    for the pivot column pc of row r and a_(r, fc) = free[r][fc]."""
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -418,9 +410,9 @@ def _null_basis(rows, pivots, p, n: int) -> tuple:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            if not rows[r][fc]:
+            if not free[r][fc]:
                 continue
-            a, b = _cleared([rows[r][fc], p])
+            a, b = _cleared([free[r][fc], p])
             ratio = simplify(Product((a, Power(b, Fraction(-1)))))
             if not isinstance(ratio, Constant):
                 raise RankDisagreement(
@@ -461,33 +453,33 @@ def _negated(p: dict) -> dict:
 def invert_form(f: SymplecticForm):
     """Exact symbolic inverse from the form's elimination of [F | I].  At the
     end the left block is p_n I with p_n = sign * det F, and the right block
-    R = p_n F^-1, so each entry of F^-1 is sign * R_ij / det, multiplied out
-    as dicts: R_ij's own dict when each of its factors round-trips
-    (`expr._round_trips`), else the dict of its rebuilt tree, which is what
-    `simplify` would read.
+    that `elimination` holds is R = p_n F^-1, so each entry of F^-1 is
+    sign * R_ij / det, multiplied out as dicts: R_ij's own dict when each of
+    its factors round-trips (`expr._round_trips`), else the dict of its
+    rebuilt tree, which is what `simplify` would read.
 
     The adjugate of an antisymmetric matrix is antisymmetric over any
     commutative ring, so R is too, exactly as dicts: the diagonal is empty
     and R_ji is -R_ij.  Each entry above the diagonal is cancelled once,
     and its canonical dict is rebuilt both as it is and negated, which is
     what simplifying R_ji would give.  An R that is not antisymmetric
-    raises SymplecticError.  A singular form is refused before its carried
-    columns, which `_eliminate` then left empty, are read."""
+    raises SymplecticError.  A singular form, which has no right block, is
+    refused with its null basis."""
     n = f.dimension
     if f.rank < n:
         raise SingularForm(f.null_basis)
-    rows, _pivots, p, sign = f.elimination
+    p, sign, right = f.elimination
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
     none = frozenset()
     sign_over_det = {m: sign * c for m, c in
                      _to_poly(simplify(Power(det, Fraction(-1))), none).items()}
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        if rows[i][n + i]:
+        if right[i][i]:
             raise SymplecticError("form is not antisymmetric")
         for j in range(i + 1, n):
-            r = rows[i][n + j]
-            if rows[j][n + i] != _negated(r):
+            r = right[i][j]
+            if right[j][i] != _negated(r):
                 raise SymplecticError("form is not antisymmetric")
             if not all(_round_trips(b, e) for m in r for b, e in m):
                 r = _to_poly(_rebuild(r), none)
@@ -515,7 +507,7 @@ def _solve_linear(omega: Expr, variables) -> tuple | None:
     """Find (v, replacement) with omega == c*v + rest, c a nonzero numeric
     constant independent of v; then v = -rest/c on the constraint surface."""
     for v in variables:
-        d = simplify(diff(omega, v))
+        d = diff(omega, v)
         if isinstance(d, Constant) and d.value != 0:
             rest = simplify(Sum((omega, Product((Constant(-d.value), var(v))))))
             replacement = simplify(Product((Constant(Fraction(-1) / d.value), rest)))
@@ -537,13 +529,13 @@ def _fresh_multipliers(existing, count: int):
 
 
 def extend_model(m: Model, constraints) -> Model:
-    """Append one multiplier per constraint, shift the kinetic sector by
-    lam * dOmega, and substitute each linearly solvable constraint into the
-    potential."""
+    """Append one multiplier per constraint, named after no variable or
+    constant of m, shift the kinetic sector by lam * dOmega, and substitute
+    each linearly solvable constraint into the potential."""
     constraints = [simplify(c) for c in constraints]
     if not constraints or all(c == ZERO for c in constraints):
         raise ModelError("no nonvanishing constraints to extend with")
-    mults = _fresh_multipliers(m.variables, len(constraints))
+    mults = _fresh_multipliers((*m.variables, *m.constants), len(constraints))
     new_vars = m.variables + tuple(mults)
     kinetic = list(m.kinetic)
     for i, v in enumerate(m.variables):
@@ -562,13 +554,13 @@ def extend_model(m: Model, constraints) -> Model:
 
 def _in_rational_span(candidate: Expr, basis) -> bool:
     """Exact linear-algebra membership test of `candidate` in the span of
-    `basis` over the rationals (coordinates are canonical monomials): the
-    candidate's column of [basis | candidate] gets no pivot."""
-    vecs = [_to_poly(simplify(e), frozenset()) for e in (*basis, candidate)]
+    `basis` over the rationals (coordinates are canonical monomials), all
+    of them canonical trees: the candidate's column of [basis | candidate]
+    gets no pivot."""
+    vecs = [_to_poly(e, frozenset()) for e in (*basis, candidate)]
     rows = [[{(): v[mo]} if mo in v else {} for v in vecs]
             for mo in {mo for v in vecs for mo in v}]
-    pivots, _p, _sign = _eliminate(rows, len(vecs))
-    return len(vecs) - 1 not in pivots
+    return len(vecs) - 1 not in _eliminate(rows, len(vecs))[0]
 
 
 def _prune_spectators(current: Model, original: Model):
@@ -801,7 +793,7 @@ def _dirac_expr(U: Expr, V: Expr, m: Model, constraints, alpha, vanishes) -> Exp
         raise DegenerateConstraintMatrix("every constraint commutes with the rest")
     try:
         form = SymplecticForm(tuple(tuple(c[i][j] for j in active) for i in active))
-        singular = form.rank < len(active) or vanishes(_rebuild(form.elimination[2]))
+        singular = form.rank < len(active) or vanishes(_rebuild(form.elimination[0]))
     except RankDisagreement:
         singular = True
     if singular:

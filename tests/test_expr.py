@@ -137,6 +137,15 @@ def test_merged_quotients_that_cancel_leave_zero():
     assert e == ZERO
 
 
+def test_quotient_merges_into_a_finished_group():
+    # the (2 + q) group divides down to p on (1 + q)^(-1)*(1 + p)^(-1), and
+    # the merged 1 + p there divides down to 1 on (1 + q)^(-1), a group that
+    # the first pass already finished: the two must add, not overwrite
+    e = simplify(parse("(1 + q)^(-1) + (1 + q)^(-1)*(1 + p)^(-1)"
+                       " + (2*p + q*p)*(1 + q)^(-1)*(1 + p)^(-1)*(2 + q)^(-1)"))
+    assert to_text(e) == "2*(1 + q)^(-1)"
+
+
 def test_gamma_of_large_integers_stays_opaque():
     start = time.perf_counter()
     e = simplify(parse("Gamma(Gamma(Gamma(5)))"))

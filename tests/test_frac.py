@@ -18,6 +18,7 @@ from fracsymp.frac import (
     SymbolicPower,
     _frac_integral_all,
     chain_partial,
+    chain_partial_expr,
     chain_rule_a,
     chain_rule_b,
     coarse_grained_factor,
@@ -338,6 +339,15 @@ def test_mrl_partial_outside_fragment():
     e = parse_expression("(1 + q)^(1/2)", variables=("q",))
     with pytest.raises(OutsideFragment):
         mrl_partial(e, "q", 0.5, {"q": 1.0})
+
+
+@pytest.mark.parametrize("partial, alpha", [
+    (mrl_partial_expr, 1.0), (chain_partial_expr, 1.0), (chain_partial_expr, 0.5)],
+    ids=["mrl-order-one", "chain-order-one", "chain-fractional"])
+def test_partial_through_a_gamma_argument_is_outside_the_fragment(partial, alpha):
+    e = parse_expression("Gamma(1 + q)*p", variables=("q", "p"))
+    with pytest.raises(OutsideFragment, match="gamma factor depends on 'q'"):
+        partial(e, "q", alpha)
 
 
 def test_chain_partial_smooth_outer():

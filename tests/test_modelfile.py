@@ -142,6 +142,10 @@ def test_bundled_corpus_parses():
     ("alpha: 1", "alpha: 1\nconstants: q = 1", "line 3: name 'q' declared twice"),
     ("alpha: 1", "alpha: 1\nconstants: c = 1, c = 2",
      "line 3: name 'c' declared twice"),
+    ("alpha: 1", "alpha: 0.5\nconstants: alpha = 0.3",
+     "line 3: name 'alpha' is reserved"),
+    ("alpha: 1", "alpha: 1\nconstants: c = 1, gamma_ec = 2",
+     "line 3: name 'gamma_ec' is reserved"),
     ("alpha: 1", "alpha: 1\nconstants: c = one",
      "line 3: bad numeric value for 'c'"),
     ("potential: 1/2*(q^2 + p^2)", "potential:", "line 5: empty expression"),
@@ -149,6 +153,7 @@ def test_bundled_corpus_parses():
         "missing-key", "empty-variable", "bad-variable", "duplicate-variable",
         "constant-without-equals", "bad-constant-name",
         "constant-names-a-variable", "constant-declared-twice",
+        "constant-names-the-order", "constant-names-euler-gamma",
         "non-numeric-constant", "empty-expression"])
 def test_document_errors_name_their_line(old, new, message):
     assert old in MINIMAL

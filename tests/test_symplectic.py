@@ -1,6 +1,7 @@
 """Symplectic analysis: form assembly, constraint iteration, bracket tables,
 coarse Hamilton-Jacobi flow, and the coarse Dirac bracket."""
 
+import copy
 import json
 import math
 import pathlib
@@ -133,6 +134,19 @@ def test_model_rejects_undeclared_names():
     kin = tuple(ex(t, names) for t in ("p", "0"))
     with pytest.raises(ModelError):
         Model(names, kin, parse_expression("w^2", variables=("w",)), 1.0, {}, ())
+
+
+@pytest.mark.parametrize("constants", [
+    {"alpha": 0.3}, {"gamma_ec": 2.0}, {"q": 1.0}],
+    ids=["order", "euler-gamma", "variable"])
+def test_model_rejects_a_constant_with_a_taken_name(constants):
+    """A constant named after a variable, or after alpha or gamma_ec, which
+    `binding` and `evaluate` supply, would be read on one path and
+    shadowed on another."""
+    names = ("q", "p")
+    kin = tuple(ex(t, names) for t in ("p", "0"))
+    with pytest.raises(ModelError, match="are variables or reserved"):
+        Model(names, kin, ex("1/2*(q^2 + p^2)", names), 0.5, constants, ())
 
 
 def test_model_alpha_always_a_legal_name():
@@ -269,8 +283,8 @@ def test_pivots_that_vanish_only_on_simplifying_are_skipped(names, upper):
     the rank is 2, and the zero modes, which hold 1 + c^2, are not
     constant."""
     entries = upper_entries(upper, names)
-    pivots, _p, _sign = _eliminate(
-        [[_to_poly(e, frozenset()) for e in row] for row in entries], len(entries))
+    pivots = _eliminate(
+        [[_to_poly(e, frozenset()) for e in row] for row in entries], len(entries))[0]
     assert len(pivots) == 2
     with pytest.raises(RankDisagreement, match="not spanned by constant vectors"):
         SymplecticForm(entries)
@@ -282,24 +296,20 @@ def test_pivots_that_vanish_only_on_simplifying_are_skipped(names, upper):
 def test_row_scales_move_with_their_rows():
     """Row 0 is swapped down at both pivots and ends as the one non-pivot
     row, so its scale (5) must not stand in for a pivot row's (2 and 3):
-    p is the pivot minor 1/6, not 1/10.  On return the pivot columns hold
-    p and 0, and the carried column of the non-pivot row holds its
-    bordered minor."""
+    p is the pivot minor 1/6, not 1/10.  No column is free, and a left
+    block with more rows than columns gives no right block."""
     f = Fraction
     rows = [[{}, {}, {(): f(1, 5)}],
             [{(): f(1, 2)}, {}, {}],
             [{}, {(): f(1, 3)}, {}]]
-    assert _eliminate(rows, 2) == ([0, 1], {(): f(1, 6)}, 1)
-    assert rows == [[{(): f(1, 6)}, {}, {}],
-                    [{}, {(): f(1, 6)}, {}],
-                    [{}, {}, {(): f(1, 30)}]]
+    assert _eliminate(rows, 2) == ([0, 1], {(): f(1, 6)}, 1, [{}, {}], None)
 
 
-# The elimination as one interleaved pass over every column, as
-# `_eliminate` ran before it deferred the carried columns to a replay and
-# converted back only what callers read: kept as the oracle for the split,
-# which runs the same integer step on each entry, so every entry a caller
-# reads must be the same dict.
+# The elimination as one interleaved pass over every column, written back
+# into its rows, as `_eliminate` ran before it deferred the carried columns
+# to a replay and returned only what callers read: kept as the oracle for
+# the split, which runs the same integer step on each entry, so every entry
+# a caller reads must be the same dict.
 
 def _interleaved_eliminate(rows, ncols):
     pk = _Packing([x for row in rows for x in row], 4 * len(rows))
@@ -387,24 +397,34 @@ _PFAFFIAN_FOUR = [[_poly(t) for t in row] for row in (
 @example((_PFAFFIAN_FOUR, 4))
 def test_split_elimination_matches_the_interleaved_pass(case):
     """The split `_eliminate` gives the interleaved pass's pivots, p and
-    sign, and the same dict in every entry a caller reads: p on the pivot
-    diagonal, the pivot rows' free columns (`_null_basis`) and, when every
-    one of the first n columns has a pivot, the carried columns
-    (`invert_form`).  Every other entry is empty."""
+    sign, and the same dict in every entry a caller reads: the pivot rows'
+    free columns (`_null_basis`) and, when every row has a pivot in one of
+    the first n columns, the carried columns (`invert_form`)."""
     rows, n = case
-    want_rows, got_rows = [list(r) for r in rows], [list(r) for r in rows]
+    want_rows = [list(r) for r in rows]
     want = _interleaved_eliminate(want_rows, n)
-    got = _eliminate(got_rows, n)
-    assert got == want
-    pivots, p, _sign = got
+    pivots, p, sign, free, right = _eliminate(rows, n)
+    assert (pivots, p, sign) == want
     rank = len(pivots)
-    read = {(r, c) for r in range(rank) for c in range(n) if c not in pivots}
-    read |= {(r, pivots[r]) for r in range(rank)}
-    if rank == n:
-        read |= {(r, c) for r in range(len(rows)) for c in range(n, len(rows[0]))}
-    for r, row in enumerate(got_rows):
-        for c, x in enumerate(row):
-            assert x == (want_rows[r][c] if (r, c) in read else {}), (r, c)
+    assert free == [{c: want_rows[r][c] for c in range(n) if c not in pivots}
+                    for r in range(rank)]
+    if rank == n == len(rows):
+        assert right == [row[n:] for row in want_rows]
+    else:
+        assert right is None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_elimination_inputs())
+@example((_PFAFFIAN_FOUR, 4))
+def test_eliminate_leaves_its_rows_unchanged(case):
+    """`_eliminate` returns what it finds and writes nothing back into
+    the rows it is given, nor into their dicts."""
+    rows, n = case
+    before = copy.deepcopy(rows)
+    _eliminate(rows, n)
+    assert rows == before
 
 
 def _dicts_over_atoms(draw):
@@ -476,6 +496,34 @@ def test_extend_model_adds_multiplier_kinetic():
     assert to_text(ext.kinetic[0]) == "lam_1 + p"
     assert to_text(ext.kinetic[1]) == "0"
     assert to_text(ext.kinetic[2]) == "0"
+
+
+def test_multipliers_avoid_the_names_of_constants():
+    """A constant lam_1 leaves the multipliers lam_2 and lam_3, so the
+    lam_1 of the second constraint is the constant."""
+    doc = parse_model_text(
+        "variables: q, p, z\nalpha: 1\nconstants: lam_1 = 2\n"
+        "kinetic q: p\nkinetic p: 0\nkinetic z: 0\n"
+        "potential: 1/2*(q^2 + p^2) + z*q + lam_1*p^2\n")
+    chain, table = fj_iterate(doc.model)
+    assert chain.status == REGULAR
+    assert [([to_text(c) for c in lev.constraints], lev.multipliers)
+            for lev in chain.levels] == [(["q"], ("lam_2",)),
+                                         (["2*lam_1*p + p"], ("lam_3",))]
+    assert all(lev.model.constants == {"lam_1": 2.0} for lev in chain.levels)
+    assert table.variables == ("q", "p")
+
+
+def test_a_constraint_with_no_linear_variable_leaves_the_potential():
+    """q^2 has no variable with a nonzero constant derivative, so
+    `extend_model` substitutes nothing into the potential."""
+    m = three_var("1/2*p^2 + q^2*z")
+    constraint = simplify(ex("q^2", m.variables))
+    assert symplectic._solve_linear(constraint, m.variables) is None
+    ext = extend_model(m, [constraint])
+    assert ext.variables == ("q", "p", "z", "lam_1")
+    assert ext.potential == m.potential
+    assert to_text(ext.kinetic[0]) == "2*lam_1*q + p"
 
 
 # -- the iteration on the bundled corpus ------------------------------------
@@ -927,9 +975,12 @@ def _bundled_forms():
 def test_invert_form_matches_cofactor_oracle():
     regular = 0
     for f in _bundled_forms() + _oracle_corpus():
-        rows, _pivots, p, _sign = f.elimination
+        p, _sign, right = f.elimination
+        free = _eliminate([[_to_poly(e, frozenset()) for e in row]
+                           for row in f.entries], f.dimension)[3]
         assert all(type(c) is Fraction
-                   for x in [p, *(x for row in rows for x in row)]
+                   for x in [p, *(x for row in right or () for x in row),
+                             *(x for row in free for x in row.values())]
                    for c in x.values())
         if f.rank < f.dimension:
             with pytest.raises(SingularForm):
@@ -977,12 +1028,12 @@ def _per_entry_inverse(f):
     formula `invert_form` used before it read the lower triangle from the
     upper one."""
     n = f.dimension
-    rows, _pivots, p, sign = f.elimination
+    p, sign, right = f.elimination
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
     inv_det = simplify(Power(det, Fraction(-1)))
     sign_c = Constant(Fraction(sign))
     return tuple(
-        tuple(simplify(Product((sign_c, _rebuild(rows[i][n + j]), inv_det)))
+        tuple(simplify(Product((sign_c, _rebuild(right[i][j]), inv_det)))
               for j in range(n))
         for i in range(n))
 
@@ -1161,8 +1212,8 @@ def test_form_times_inverse_is_identity_at_rational_points(f, seed):
     atoms = (var("q"), var("p"), simplify(parse_expression("Gamma(1 + alpha)")))
     point = {a: Fraction(rnd.randint(1, 97), rnd.randint(1, 97)) for a in atoms}
     mat = _exact_values(f.entries, point)
-    pivots, _p, _sign = _eliminate(
-        [[{(): x} if x else {} for x in row] for row in mat.tolist()], f.dimension)
+    pivots = _eliminate(
+        [[{(): x} if x else {} for x in row] for row in mat.tolist()], f.dimension)[0]
     assume(len(pivots) == f.dimension)
     inv = _exact_values(invert_form(f), point)
     assert (mat.dot(inv) == np.eye(f.dimension, dtype=int)).all()
