@@ -195,9 +195,11 @@ def sym(name: str) -> SymbolicConstant:
 # dict under a negative or fractional exponent.  A power or product base,
 # whose conversion depends on the set, and a constant root, which has no
 # unique form yet, leave the tree without a dict, and `_to_poly` converts
-# it afresh.  `diff` differentiates a kept dict directly, factor by factor
-# and through each sum base's own kept dict, and cancels and rebuilds the
-# result as `simplify` does.
+# it afresh.  `diff` has one rule: the product rule on the dict of its
+# tree, factor by factor and through each compound base's own dict (kept,
+# or else converted), cancelled and rebuilt as `simplify` does.  So the
+# derivative of a raw tree is that of its canonical form: Gamma(0*p) by p
+# is 0, and Gamma(0^(-2)) raises ZeroToNegativePower as `simplify` does.
 
 _RANKS = {Constant: 0, SymbolicConstant: 1, Variable: 2, GammaFactor: 3, Power: 4, Sum: 5, Product: 6}
 
@@ -736,29 +738,6 @@ def variable_names(e: Expr) -> frozenset:
     return _names(e, Variable)
 
 
-def _diff_node(e: Expr, name: str) -> Expr:
-    if isinstance(e, (Constant, SymbolicConstant)):
-        return ZERO
-    if isinstance(e, Variable):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, GammaFactor):
-        _check_gamma(e, name)
-        return ZERO
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff_node(t, name) for t in e.terms))
-    if isinstance(e, Product):
-        terms = []
-        fs = e.factors
-        for i in range(len(fs)):
-            d = _diff_node(fs[i], name)
-            terms.append(Product(tuple(list(fs[:i]) + [d] + list(fs[i + 1:]))))
-        return Sum(tuple(terms))
-    if isinstance(e, Power):
-        db = _diff_node(e.base, name)
-        return Product((Constant(e.exponent), Power(e.base, e.exponent - 1), db))
-    raise TypeError(f"unknown node {e!r}")
-
-
 def _check_gamma(g: GammaFactor, name: str):
     """Raise NonDifferentiable when the argument of g holds `name`."""
     if name in free_names(g.arg):
@@ -766,10 +745,12 @@ def _check_gamma(g: GammaFactor, name: str):
             f"gamma factor depends on '{name}'; it is kept opaque")
 
 
-def _diff_poly(p: dict, name: str, parts: dict) -> dict:
-    """The derivative of a dict whose every factor round-trips: each
-    factor b^k of a monomial c*m gives c*k*b^(k-1)*db times the rest of m.
-    `parts` holds the derivative of each sum base met so far."""
+def _diff_poly(p: dict, name: str, positive: frozenset, parts: dict) -> dict:
+    """The derivative of p: each factor b^k of a monomial c*m gives
+    c*k*b^(k-1)*db times the rest of m, where db of a compound base is the
+    derivative of its own dict (the kept one, or else its conversion
+    under `positive`) and a constant base gives none.  `parts` holds the
+    derivative of each compound base met so far."""
     out: dict = {}
     for mono, c in p.items():
         for i, (b, k) in enumerate(mono):
@@ -777,11 +758,12 @@ def _diff_poly(p: dict, name: str, parts: dict) -> dict:
                 if b.name != name:
                     continue
                 db = {(): _ONE}
-            elif isinstance(b, Sum):
+            elif isinstance(b, _COMPOUND):
                 db = parts.get(b)
                 if db is None:
-                    db = parts[b] = _diff_poly(_kept_poly(b), name, parts)
-            else:  # a symbolic constant or a Gamma factor
+                    db = parts[b] = _diff_poly(_to_poly(b, positive), name,
+                                               positive, parts)
+            else:  # a constant, a symbolic constant or a Gamma factor
                 if isinstance(b, GammaFactor):
                     _check_gamma(b, name)
                 continue
@@ -794,20 +776,13 @@ def _diff_poly(p: dict, name: str, parts: dict) -> dict:
 
 
 def diff(e: Expr, name: str, positive: Iterable[str] = ()) -> Expr:
-    """The canonical derivative of e by the variable `name`.
-
-    A tree that keeps its dict for every `positive` set (`_rebuild`) is
-    differentiated on that dict, the derivative of a sum base coming from
-    the sum's own kept dict, and the result is cancelled and rebuilt as in
-    `simplify`.  Any other tree is differentiated as a tree by the product
-    rule and simplified; both give `simplify(_diff_node(e, name),
-    positive)`.  A Gamma factor whose argument holds `name` raises
-    NonDifferentiable."""
-    p = _kept_poly(e)
-    if p is None:
-        return simplify(_diff_node(e, name), positive)
+    """The canonical derivative of e by the variable `name`: the product
+    rule on the dict of e (`_diff_poly`), cancelled and rebuilt as in
+    `simplify`, so it equals the derivative of `simplify(e, positive)`
+    and raises what that raises.  A Gamma factor whose argument holds
+    `name` raises NonDifferentiable."""
     pos = frozenset(positive)
-    return _rebuild(_cancelled(_diff_poly(p, name, {}), pos))
+    return _rebuild(_cancelled(_diff_poly(_to_poly(e, pos), name, pos, {}), pos))
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:

@@ -13,7 +13,7 @@ lines and lines starting with # are ignored.  Keys:
 
 Expressions are parsed over the declared variables; any other name must be
 a declared constant (the order name alpha and the reserved gamma_ec are
-always available, and no constant may take either name).  Parsed
+always available, and no variable or constant may take either name).  Parsed
 expressions are simplified immediately, so the canonical rendering of a
 parsed document reparses to the same document.
 """
@@ -114,6 +114,8 @@ def parse_model_text(text: str) -> ModelDocument:
             raise ModelFileError("bad variable name %r" % token, lineno)
         if token in variables:
             raise ModelFileError("duplicate variable %r" % token, lineno)
+        if token in RESERVED_NAMES:
+            raise ModelFileError("name %r is reserved" % token, lineno)
         variables.append(token)
 
     lineno, value = seen["alpha"]

@@ -98,8 +98,8 @@ class Model:
     """First-order action data: variables eta, kinetic coefficients a_i(eta),
     potential V(eta).  alpha is the derivative order; None keeps the order as
     the symbol `alpha` in expressions.  `positive` lists variables that may be
-    assumed positive during simplification.  A constant may take neither a
-    variable's name nor a reserved one (`RESERVED_NAMES`)."""
+    assumed positive during simplification.  No variable or constant may
+    take a reserved name (`RESERVED_NAMES`), nor a constant a variable's."""
 
     variables: tuple
     kinetic: tuple
@@ -118,6 +118,9 @@ class Model:
                 f"{len(self.variables)} variables but {len(self.kinetic)} kinetic terms")
         if len(set(self.variables)) != len(self.variables):
             raise ModelError("duplicate variable names")
+        reserved = set(self.variables) & RESERVED_NAMES
+        if reserved:
+            raise ModelError(f"variable names {sorted(reserved)} are reserved")
         taken = set(self.constants) & (set(self.variables) | RESERVED_NAMES)
         if taken:
             raise ModelError(f"constant names {sorted(taken)} are variables or reserved")
@@ -461,7 +464,7 @@ def invert_form(f: SymplecticForm):
     The adjugate of an antisymmetric matrix is antisymmetric over any
     commutative ring, so R is too, exactly as dicts: the diagonal is empty
     and R_ji is -R_ij.  Each entry above the diagonal is cancelled once,
-    and its canonical dict is rebuilt both as it is and negated, which is
+    and the entry below it is its negation (`_antisymmetric`), which is
     what simplifying R_ji would give.  An R that is not antisymmetric
     raises SymplecticError.  A singular form, which has no right block, is
     refused with its null basis."""
@@ -469,24 +472,21 @@ def invert_form(f: SymplecticForm):
     if f.rank < n:
         raise SingularForm(f.null_basis)
     p, sign, right = f.elimination
+    if any(right[i][i] for i in range(n)):
+        raise SymplecticError("form is not antisymmetric")
     det = simplify(_rebuild({m: sign * c for m, c in p.items()}))
     none = frozenset()
     sign_over_det = {m: sign * c for m, c in
                      _to_poly(simplify(Power(det, Fraction(-1))), none).items()}
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        if right[i][i]:
+
+    def upper(i: int, j: int) -> Expr:
+        r = right[i][j]
+        if right[j][i] != _negated(r):
             raise SymplecticError("form is not antisymmetric")
-        for j in range(i + 1, n):
-            r = right[i][j]
-            if right[j][i] != _negated(r):
-                raise SymplecticError("form is not antisymmetric")
-            if not all(_round_trips(b, e) for m in r for b, e in m):
-                r = _to_poly(_rebuild(r), none)
-            d = _cancelled(_poly_mul(r, sign_over_det), none)
-            out[i][j] = _rebuild(d)
-            out[j][i] = _rebuild(_negated(d))
-    return tuple(tuple(row) for row in out)
+        if not all(_round_trips(b, e) for m in r for b, e in m):
+            r = _to_poly(_rebuild(r), none)
+        return _rebuild(_cancelled(_poly_mul(r, sign_over_det), none))
+    return _antisymmetric(n, upper)
 
 
 def constraints_from_zero_modes(f: SymplecticForm, m: Model):
@@ -685,7 +685,9 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     """Coarse Hamilton-Jacobi right-hand sides for a phase-space model.
 
     The variable list splits in half into coordinate/momentum pairs.  The
-    effective Hamiltonian is V plus multiplier-weighted constraints; each
+    effective Hamiltonian is V plus multiplier-weighted constraints, the
+    multipliers named after no variable or constant of m, as in
+    `extend_model`, and `multipliers` maps those names to values; each
     right-hand side carries a 1/Gamma(1+alpha) prefactor and smooth-outer
     fractional partials.  Returns [(variable, rhs Expr)] in variable order.
     The chain partial needs a numeric order, so a symbolic one raises
@@ -699,7 +701,7 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     coords = m.variables[:half]
     momenta = m.variables[half:]
     constraints = [simplify(c) for c in constraints]
-    lam_names = _fresh_multipliers((), len(constraints))
+    lam_names = _fresh_multipliers((*m.variables, *m.constants), len(constraints))
     multipliers = dict(multipliers or {})
     h_eff = m.potential
     if constraints:
@@ -744,15 +746,16 @@ def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
     exact expression.  With no additional constraints it is
     1/Gamma(1+alpha)^2 times gradU . f^{-1} . gradV on the model's own
     variables (for coordinate pairs the inverse-form entry itself), not
-    simplified, so it is undefined where an entry of f^{-1} it reads is.
-    With additional constraints it is taken on the doubled phase space:
-    canonical pairs (v, mom_v), the primary constraints included
-    automatically, the given constraints appended, and the standard
-    correction by the inverse constraint matrix C applied (`_dirac_expr`).
-    Two rules read the point, where mom_v is its kinetic coefficient unless
-    bound: a constraint whose row of C is exactly 0 there is left out of C,
-    and the rest of C is degenerate if its rank is short, its null space
-    depends on the fields, or its determinant is 0 there.  The order is
+    simplified, and f is degenerate if its rank is short or its
+    determinant is 0 at the point.  With additional constraints it is
+    taken on the doubled phase space: canonical pairs (v, mom_v), the
+    primary constraints included automatically, the given constraints
+    appended, and the standard correction by the inverse constraint matrix
+    C applied (`_dirac_expr`).  Two rules read the point, where mom_v is
+    its kinetic coefficient unless bound: a constraint whose row of C is
+    exactly 0 there is left out of C, and the rest of C is degenerate if
+    its rank is short, its null space depends on the fields, or its
+    determinant is 0 there.  The order is
     the model's, or for a symbolic order the `alpha` the point binds; with
     neither, UnboundSymbol."""
     binding = m.binding(point)
@@ -766,6 +769,9 @@ def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
             raise DegenerateConstraintMatrix(
                 "constraint matrix of the primary set is singular; null basis "
                 + ", ".join(_vector_text(v) for v in form.null_basis))
+        if evaluate(_rebuild(form.elimination[0]), binding) == 0:
+            raise DegenerateConstraintMatrix(
+                "constraint matrix of the primary set is singular at the point")
         inverse = invert_form(form)
         du, dv = ([diff(e, v) for v in m.variables] for e in (U, V))
         terms = tuple(Product((du[i], inverse[i][j], dv[j]))

@@ -40,7 +40,7 @@ from fracsymp.expr import (
     var,
 )
 from fracsymp import expr
-from fracsymp.expr import _RANKS, _base_key, _diff_node, _kept_poly, _to_poly
+from fracsymp.expr import _RANKS, _base_key, _kept_poly, _to_poly
 from fracsymp.frac import FracError
 from fracsymp.modelfile import parse_model_file
 from fracsymp import symplectic
@@ -550,6 +550,27 @@ def test_a_sum_base_alone_keeps_its_own_dict():
     assert _kept_poly(s) == _to_poly(parse("1 + q"), _NO_POSITIVE)
 
 
+def _diff_node(e, name):
+    """The product rule on the tree e: the oracle `diff` is checked
+    against."""
+    if isinstance(e, (Constant, SymbolicConstant)):
+        return ZERO
+    if isinstance(e, Variable):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, GammaFactor):
+        if name in free_names(e.arg):
+            raise NonDifferentiable(name)
+        return ZERO
+    if isinstance(e, Sum):
+        return Sum(tuple(_diff_node(t, name) for t in e.terms))
+    if isinstance(e, Product):
+        fs = e.factors
+        return Sum(tuple(Product(fs[:i] + (_diff_node(fs[i], name),) + fs[i + 1:])
+                         for i in range(len(fs))))
+    return Product((Constant(e.exponent), Power(e.base, e.exponent - 1),
+                    _diff_node(e.base, name)))
+
+
 def _derivative(e, name, positive, differentiate):
     try:
         return differentiate(e, name, positive)
@@ -565,24 +586,36 @@ def _derivative(e, name, positive, differentiate):
 @example(parse("Gamma(1 + q)*p"))
 @example(parse("(1 + q^2)^(1/2)"))
 @example(parse("(q + q^3)*(1 + q^2)^(-1)"))
+@example(parse("Gamma(0*p)"))
+@example(parse("0^(1/2)"))
+@example(parse("Gamma(0^(-2))"))
+@example(parse("(q^2)^(1/2)"))
+@example(parse("(-2*q)^(1/2)"))
+@example(parse("2^(1/2)*q"))
 def test_diff_on_the_kept_dict_matches_the_tree_rule(e):
-    """For the canonical form s of a tree under {} and {q}, `diff` by q
-    and by p equals `simplify` of the product-rule tree of an equal twin
-    of new nodes (which keeps no dict), or both raise the same error:
-    `diff` on a kept dict is the tree rule's result, not an approximation.
-    Gamma(1 + q) raises NonDifferentiable by q either way."""
+    """For any tree e and its canonical form s under {} and {q}, `diff`
+    of e and of s by q and by p equals `simplify` of the product-rule
+    tree of an equal twin of s made of new nodes (which keeps no dict),
+    or both raise the same error; where `simplify(e)` raises, `diff(e)`
+    raises the same.  So `diff` is the derivative of the canonical form,
+    not an approximation: Gamma(0*p) by p is 0, Gamma(0^(-2)) raises
+    ZeroToNegativePower, and Gamma(1 + q) raises NonDifferentiable by q.
+    (q^2)^(1/2) differs under the two sets, and (-2*q)^(1/2) and the
+    constant root 2^(1/2) stay opaque factors."""
     def by_tree(s, name, positive):
         return simplify(_diff_node(_rebuilt(s), name), positive)
 
     for positive in (_NO_POSITIVE, _Q_POSITIVE):
         try:
             s = simplify(e, positive)
-        except ZeroDivisionError:  # zero under a negative power
-            assume(False)
+        except (FracsympError, ArithmeticError) as exc:
+            for name in ("q", "p"):
+                assert _derivative(e, name, positive, diff) is type(exc)
+            continue
         for name in ("q", "p"):
-            got = _derivative(s, name, positive, diff)
             want = _derivative(s, name, positive, by_tree)
-            assert got == want, (to_text(s), name, positive)
+            assert _derivative(e, name, positive, diff) == want, (e, name, positive)
+            assert _derivative(s, name, positive, diff) == want, (to_text(s), name)
 
 
 _TESTS = pathlib.Path(__file__).parent

@@ -146,6 +146,9 @@ def test_bundled_corpus_parses():
      "line 3: name 'alpha' is reserved"),
     ("alpha: 1", "alpha: 1\nconstants: c = 1, gamma_ec = 2",
      "line 3: name 'gamma_ec' is reserved"),
+    ("variables: q, p", "variables: alpha, p", "line 1: name 'alpha' is reserved"),
+    ("variables: q, p", "variables: q, gamma_ec+",
+     "line 1: name 'gamma_ec' is reserved"),
     ("alpha: 1", "alpha: 1\nconstants: c = one",
      "line 3: bad numeric value for 'c'"),
     ("potential: 1/2*(q^2 + p^2)", "potential:", "line 5: empty expression"),
@@ -154,6 +157,7 @@ def test_bundled_corpus_parses():
         "constant-without-equals", "bad-constant-name",
         "constant-names-a-variable", "constant-declared-twice",
         "constant-names-the-order", "constant-names-euler-gamma",
+        "variable-names-the-order", "variable-names-euler-gamma",
         "non-numeric-constant", "empty-expression"])
 def test_document_errors_name_their_line(old, new, message):
     assert old in MINIMAL

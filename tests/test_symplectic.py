@@ -149,6 +149,16 @@ def test_model_rejects_a_constant_with_a_taken_name(constants):
         Model(names, kin, ex("1/2*(q^2 + p^2)", names), 0.5, constants, ())
 
 
+@pytest.mark.parametrize("names", [("alpha", "p"), ("q", "gamma_ec")],
+                         ids=["order", "euler-gamma"])
+def test_model_rejects_a_variable_with_a_reserved_name(names):
+    """A variable named alpha would be read as the order by `binding`, and
+    one named gamma_ec as Euler's constant by `evaluate`."""
+    kin = tuple(ex(t, names) for t in (names[1], "0"))
+    with pytest.raises(ModelError, match="are reserved"):
+        Model(names, kin, ex("0", names), None, {}, ())
+
+
 def test_model_alpha_always_a_legal_name():
     names = ("q", "p")
     kin = (parse_expression("Gamma(1 + alpha)*p", variables=names),
@@ -621,6 +631,18 @@ def test_coarse_hamilton_jacobi_with_constraint_multiplier():
     assert abs(got - (-0.5 - 2.0)) < 1e-12
 
 
+def test_coarse_hamilton_jacobi_multipliers_skip_constant_names():
+    """The constant lam_1 leaves the multiplier lam_2, so the value 2 of
+    lam_2 moves the p equation by -2 and lam_1 stays the constant."""
+    doc = parse_model_text(
+        "variables: q, p\nalpha: 1\nconstants: lam_1 = 3\n"
+        "kinetic q: p\nkinetic p: 0\n"
+        "potential: 1/2*(q^2 + p^2) + lam_1*q\n")
+    m = doc.model
+    eqs = dict(coarse_hamilton_jacobi(m, (ex("q", m.variables),), {"lam_2": 2}))
+    assert to_text(eqs["p"]) == "-2 - lam_1 - q"
+
+
 def test_extend_model_refuses_only_vanishing_constraints():
     with pytest.raises(ModelError, match="no nonvanishing constraints"):
         extend_model(canonical_pair(), [ZERO])
@@ -709,6 +731,20 @@ def test_dirac_bracket_refuses_a_model_with_no_kinetic_sector():
     with pytest.raises(DegenerateConstraintMatrix,
                        match="every constraint commutes with the rest"):
         coarse_dirac_bracket(q, p, m, [ONE], pt)
+
+
+def test_dirac_bracket_refuses_a_form_singular_at_the_point():
+    """f of the kinetic sector p1, q1*p2, 0, q1 is regular as an
+    expression, with determinant q1^2, which vanishes at q1 = 0."""
+    m = two_pair(("p1", "q1*p2", "0", "q1"))
+    names = m.variables
+    pt = {"q1": 0.0, "q2": 0.2, "p1": 0.3, "p2": 0.4}
+    pairs = [(ex("q1", names), ex("p1", names)), (ex("q2", names), ex("p2", names))]
+    for u, v in pairs:
+        with pytest.raises(DegenerateConstraintMatrix, match="at the point"):
+            coarse_dirac_bracket(u, v, m, point=pt)
+    pt["q1"] = 1.0
+    assert [coarse_dirac_bracket(u, v, m, point=pt) for u, v in pairs] == [1.0, 1.0]
 
 
 def test_dirac_bracket_matches_chain_output():
