@@ -687,7 +687,8 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     The variable list splits in half into coordinate/momentum pairs.  The
     effective Hamiltonian is V plus multiplier-weighted constraints, the
     multipliers named after no variable or constant of m, as in
-    `extend_model`, and `multipliers` maps those names to values; each
+    `extend_model`, and `multipliers` maps some of those names to values
+    (any other name raises ModelError); each
     right-hand side carries a 1/Gamma(1+alpha) prefactor and smooth-outer
     fractional partials.  Returns [(variable, rhs Expr)] in variable order.
     The chain partial needs a numeric order, so a symbolic one raises
@@ -703,6 +704,10 @@ def coarse_hamilton_jacobi(m: Model, constraints=(), multipliers: Mapping | None
     constraints = [simplify(c) for c in constraints]
     lam_names = _fresh_multipliers((*m.variables, *m.constants), len(constraints))
     multipliers = dict(multipliers or {})
+    unknown = multipliers.keys() - set(lam_names)
+    if unknown:
+        raise ModelError(f"no multipliers named {sorted(unknown)}; "
+                         f"the multipliers are {list(lam_names)}")
     h_eff = m.potential
     if constraints:
         h_eff = simplify(Sum(tuple([m.potential] + [

@@ -633,14 +633,19 @@ def test_coarse_hamilton_jacobi_with_constraint_multiplier():
 
 def test_coarse_hamilton_jacobi_multipliers_skip_constant_names():
     """The constant lam_1 leaves the multiplier lam_2, so the value 2 of
-    lam_2 moves the p equation by -2 and lam_1 stays the constant."""
+    lam_2 moves the p equation by -2 and lam_1 stays the constant.  A
+    value for lam_1, which names no multiplier, is refused rather than
+    dropped."""
     doc = parse_model_text(
         "variables: q, p\nalpha: 1\nconstants: lam_1 = 3\n"
         "kinetic q: p\nkinetic p: 0\n"
         "potential: 1/2*(q^2 + p^2) + lam_1*q\n")
     m = doc.model
-    eqs = dict(coarse_hamilton_jacobi(m, (ex("q", m.variables),), {"lam_2": 2}))
+    cons = (ex("q", m.variables),)
+    eqs = dict(coarse_hamilton_jacobi(m, cons, {"lam_2": 2}))
     assert to_text(eqs["p"]) == "-2 - lam_1 - q"
+    with pytest.raises(ModelError, match=r"no multipliers named \['lam_1'\]"):
+        coarse_hamilton_jacobi(m, cons, {"lam_1": 2})
 
 
 def test_extend_model_refuses_only_vanishing_constraints():
