@@ -461,6 +461,14 @@ def _rebuild(p: dict) -> Expr:
     return tree
 
 
+def _read_back(p: dict) -> dict:
+    """`_to_poly(_rebuild(p), frozenset())`, the dict `simplify` reads back:
+    the folded p, which its tree would keep, when each factor round-trips."""
+    p = _fold(p)
+    keeps = all(_round_trips(b, e) for mono in p for b, e in mono)
+    return p if keeps else _to_poly(_rebuild(p), frozenset())
+
+
 # -- exact Laurent-polynomial division ---------------------------------------
 
 def _exponent_ranges(p: dict) -> dict:
@@ -562,8 +570,7 @@ def _divide(num: dict, den: dict, inside: Callable | None = None) -> dict | None
     `inside` box bounds the steps of a non-exact division: with Laurent
     monomials infinitely many lie above that lowest one, and past the
     packing's radix the digits overflow.  `_poly_div` passes the box;
-    `symplectic._eliminate` passes none and relies on every Bareiss step
-    being exact."""
+    `_eliminate` passes none, as every Bareiss step is exact."""
     if not num:
         return {}
     if len(den) == 1:
@@ -630,6 +637,131 @@ def _poly_div(num: dict, den: dict) -> dict | None:
     quot = _divide(pk.to_ints(num, sn), {m: c // g for m, c in dint.items()},
                    inside)
     return None if quot is None else pk.from_ints(quot, Fraction(sd, sn * g))
+
+
+# -- exact elimination -------------------------------------------------------
+
+def _cleared(polys) -> list:
+    """The dicts of `_to_poly` in `polys`, each times every opaque
+    denominator that they hold, as `simplify` reads them back.  The ring of
+    `_to_poly` takes an opaque (1 + q)^(-1) as independent of 1 + q, so a
+    nonzero dict can still be 0 and a quotient can exist only outside the
+    ring; read back with its denominators multiplied out, a dict is a
+    polynomial in which emptiness and one exact division decide both."""
+    den: dict = {}
+    for x in polys:
+        for mono in x:
+            for b, e in mono:
+                if e < 0 and isinstance(b, Sum):
+                    den[b] = max(den.get(b, 0), -e)
+    d = {_sorted_mono(den.items()): _ONE}
+    return [_read_back(_cancelled(_read_back(_poly_mul(x, d)), frozenset()))
+            for x in polys]
+
+
+def _nonzero(x: dict) -> bool:
+    return bool(x) and bool(_cleared([x])[0])
+
+
+def _mul_sub(p: dict, x: dict, a: dict, y: dict) -> dict:
+    """p x - a y for packed int-coefficient dicts."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in x.items():
+            m = m1 + m2
+            out[m] = out.get(m, 0) + c1 * c2
+    for m1, c1 in a.items():
+        for m2, c2 in y.items():
+            m = m1 + m2
+            out[m] = out.get(m, 0) - c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _step(mat, r: int, c: int, cols, prev: dict):
+    """One Bareiss step at the pivot in row r, column c: every other row
+    becomes (p a_ij - a_ic a_rj) / prev in each column j of `cols`, with
+    p = a_rc and prev the pivot of the step before.  An entry that is 0
+    stays 0 where a_ic a_rj is 0."""
+    pivot = mat[r]
+    p = pivot[c]
+    for i, row in enumerate(mat):
+        if i == r:
+            continue
+        a = row[c]
+        for j in cols:
+            if row[j] or (a and pivot[j]):
+                row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
+                if row[j] is None:
+                    raise ArithmeticError("fraction-free step is not exact")
+
+
+def _eliminate(rows, ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
+    of Laurent-polynomial dicts of `_to_poly`, which it leaves unchanged.
+    Returns (pivot columns, p, sign of the row permutation, free, right):
+    p is the last pivot, free[r] maps each free column to pivot row r's
+    entry (the null basis), and right is the carried block after a
+    full-rank elimination of a square left block (the inverse), else None;
+    an entry of right that simplifies to 0 may still be a nonzero dict.
+
+    Pivots are sought in the first `ncols` columns in column order, the first
+    entry at or below the next pivot row that is not 0 winning; later
+    columns are carried along.  Step k updates every other row as
+    (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact.  The
+    first pass updates only the first `ncols` columns: each later one and
+    each free column met so far.  Only when the left block is square and
+    each of its columns has a pivot does a second pass replay the steps over
+    the carried columns, step k with the pivot row k, its pivot p_k, p_(k-1)
+    and each row's column k, which step k read and no later step changed,
+    as the multiplier; row swaps commute with the steps that follow them,
+    so the replay gives the same dicts.  The cost is O(n^3) polynomial
+    operations, and a singular form skips its carried columns.
+
+    The loop runs on integers.  On entry each row is scaled by the lcm of
+    its coefficient denominators, a scale that moves with the row, and each
+    monomial is packed (`_Packing`).  p and every entry of a pivot row are
+    then minors of the scaled rows: S times those of `rows`, S the product
+    of the pivot rows' scales, which what is returned divides out.  When
+    each base round-trips at exponent 1 (`_round_trips`; no sum does), a
+    nonzero dict is a nonzero element, so a candidate pivot is 0 only when
+    its dict is empty, and it is not unpacked and read back; otherwise,
+    since an opaque sum denominator, root or power base can make a nonzero
+    dict 0, it is 0 when its cleared dict is empty (`_nonzero`)."""
+    pk = _Packing([x for row in rows for x in row], 4 * len(rows))
+    exact = all(_round_trips(b, 1) for b in pk.bases)
+    scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
+    mat = [[pk.to_ints(x, s) for x in row] for row, s in zip(rows, scales)]
+    pivots: list = []
+    free: list = []
+    sign = 1
+    prev = {0: 1}
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][c] and (
+            exact or _nonzero(pk.from_ints(mat[i][c], _ONE)))), None)
+        if sel is None:
+            free.append(c)
+            continue
+        if sel != r:
+            mat[r], mat[sel] = mat[sel], mat[r]
+            scales[r], scales[sel] = scales[sel], scales[r]
+            sign = -sign
+        _step(mat, r, c, free + list(range(c + 1, ncols)), prev)
+        pivots.append(c)
+        prev = mat[r][c]
+    rank = len(pivots)
+    factor = Fraction(1, math.prod(scales[:rank]))
+    right = None
+    if mat and rank == ncols == len(mat):
+        carried = range(ncols, len(mat[0]))
+        before = {0: 1}
+        for k in range(rank):  # pivot k sits in column k
+            _step(mat, k, k, carried, before)
+            before = mat[k][k]
+        right = [[pk.from_ints(row[j], factor) for j in carried] for row in mat]
+    return (pivots, pk.from_ints(prev, factor), sign,
+            [{c: pk.from_ints(row[c], factor) for c in free} for row in mat[:rank]],
+            right)
 
 
 def _cancel_denominators(p: dict, positive: frozenset) -> dict:

@@ -28,15 +28,13 @@ from .expr import (
     Sum,
     ZERO,
     UnboundSymbol,
-    _ONE,
-    _Packing,
     _cancelled,
-    _denominator_lcm,
-    _divide,
+    _cleared,
+    _eliminate,
+    _poly_div,
     _poly_mul,
+    _read_back,
     _rebuild,
-    _round_trips,
-    _sorted_mono,
     _text_pair,
     _to_poly,
     diff,
@@ -140,10 +138,15 @@ class Model:
         return len(self.variables)
 
     def binding(self, point: Mapping | None = None) -> dict:
+        """The constants, a numeric order as `alpha`, and the point, which
+        may not rebind a numeric order (ModelError)."""
         out = dict(self.constants)
         if self.alpha is not None:
             out["alpha"] = self.alpha
         if point:
+            if self.alpha is not None and point.get("alpha", self.alpha) != self.alpha:
+                raise ModelError(f"the point binds alpha = {point['alpha']}, "
+                                 f"but the model's order is {self.alpha}")
             out.update(point)
         return out
 
@@ -279,133 +282,10 @@ def _primitive(v):
     return tuple(Fraction(c // g) for c in ints)
 
 
-# -- exact elimination -------------------------------------------------------
-
-def _cleared(polys) -> list:
-    """The dicts of `_to_poly` in `polys`, each times every opaque
-    denominator that they hold, as simplified trees.  The ring of
-    `_to_poly` takes an opaque (1 + q)^(-1) as independent of 1 + q, so a
-    nonzero dict can still be 0 and a quotient can exist only outside the
-    ring; read back with its denominators multiplied out, a dict is a
-    polynomial in which `simplify` can decide both."""
-    den: dict = {}
-    for x in polys:
-        for mono in x:
-            for b, e in mono:
-                if e < 0 and isinstance(b, Sum):
-                    den[b] = max(den.get(b, 0), -e)
-    d = {_sorted_mono(den.items()): Fraction(1)}
-    return [simplify(_rebuild(_poly_mul(x, d))) for x in polys]
-
-
-def _nonzero(x: dict) -> bool:
-    return bool(x) and _cleared([x])[0] != ZERO
-
-
-def _mul_sub(p: dict, x: dict, a: dict, y: dict) -> dict:
-    """p x - a y for packed int-coefficient dicts."""
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in x.items():
-            m = m1 + m2
-            out[m] = out.get(m, 0) + c1 * c2
-    for m1, c1 in a.items():
-        for m2, c2 in y.items():
-            m = m1 + m2
-            out[m] = out.get(m, 0) - c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _step(mat, r: int, c: int, cols, prev: dict):
-    """One Bareiss step at the pivot in row r, column c: every other row
-    becomes (p a_ij - a_ic a_rj) / prev in each column j of `cols`, with
-    p = a_rc and prev the pivot of the step before.  An entry that is 0
-    stays 0 where a_ic a_rj is 0."""
-    pivot = mat[r]
-    p = pivot[c]
-    for i, row in enumerate(mat):
-        if i == r:
-            continue
-        a = row[c]
-        for j in cols:
-            if row[j] or (a and pivot[j]):
-                row[j] = _divide(_mul_sub(p, row[j], a, pivot[j]), prev)
-                if row[j] is None:
-                    raise ArithmeticError("fraction-free step is not exact")
-
-
-def _eliminate(rows, ncols: int):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of `rows`, lists
-    of Laurent-polynomial dicts of `_to_poly`, which it leaves unchanged.
-    Returns (pivot columns, p, sign of the row permutation, free, right):
-    p is the last pivot, free[r] maps each free column to pivot row r's
-    entry (`_null_basis`), and right is the carried block after a full-rank
-    elimination of a square left block (`invert_form`), else None; an entry
-    of right that simplifies to 0 may still be a nonzero dict.
-
-    Pivots are sought in the first `ncols` columns in column order, the first
-    entry at or below the next pivot row that is not 0 winning; later
-    columns are carried along.  Step k updates every other row as
-    (p_k a_ij - a_ik a_kj) / p_(k-1), a division that is always exact.  The
-    first pass updates only the first `ncols` columns: each later one and
-    each free column met so far.  Only when the left block is square and
-    each of its columns has a pivot does a second pass replay the steps over
-    the carried columns, step k with the pivot row k, its pivot p_k, p_(k-1)
-    and each row's column k, which step k read and no later step changed,
-    as the multiplier; row swaps commute with the steps that follow them,
-    so the replay gives the same dicts.  The cost is O(n^3) polynomial
-    operations, and a singular form skips its carried columns.
-
-    The loop runs on integers.  On entry each row is scaled by the lcm of
-    its coefficient denominators, a scale that moves with the row, and each
-    monomial is packed (`_Packing`).  p and every entry of a pivot row are
-    then minors of the scaled rows: S times those of `rows`, S the product
-    of the pivot rows' scales, which what is returned divides out.  When
-    every base of the packing round-trips (`expr._round_trips`), a nonzero
-    dict is a nonzero element, so a candidate pivot is 0 only when its dict
-    is empty; otherwise, since an opaque sum denominator, root or power
-    base can make a nonzero dict 0, it is 0 when it simplifies to 0."""
-    pk = _Packing([x for row in rows for x in row], 4 * len(rows))
-    exact = all(_round_trips(b, 1) for b in pk.bases)
-    scales = [_denominator_lcm(c for x in row for c in x.values()) for row in rows]
-    mat = [[pk.to_ints(x, s) for x in row] for row, s in zip(rows, scales)]
-    pivots: list = []
-    free: list = []
-    sign = 1
-    prev = {0: 1}
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(mat)) if mat[i][c] and (
-            exact or _nonzero(pk.from_ints(mat[i][c], _ONE)))), None)
-        if sel is None:
-            free.append(c)
-            continue
-        if sel != r:
-            mat[r], mat[sel] = mat[sel], mat[r]
-            scales[r], scales[sel] = scales[sel], scales[r]
-            sign = -sign
-        _step(mat, r, c, free + list(range(c + 1, ncols)), prev)
-        pivots.append(c)
-        prev = mat[r][c]
-    rank = len(pivots)
-    factor = Fraction(1, math.prod(scales[:rank]))
-    right = None
-    if mat and rank == ncols == len(mat):
-        carried = range(ncols, len(mat[0]))
-        before = {0: 1}
-        for k in range(rank):  # pivot k sits in column k
-            _step(mat, k, k, carried, before)
-            before = mat[k][k]
-        right = [[pk.from_ints(row[j], factor) for j in carried] for row in mat]
-    return (pivots, pk.from_ints(prev, factor), sign,
-            [{c: pk.from_ints(row[c], factor) for c in free} for row in mat[:rank]],
-            right)
-
-
 def _null_basis(free, pivots, p, n: int) -> tuple:
     """One primitive null vector per free column fc of an eliminated form:
-    v_fc = 1, the other free entries 0, and v_pc = -a_(r, fc) / p, simplified,
-    for the pivot column pc of row r and a_(r, fc) = free[r][fc]."""
+    v_fc = 1, other free entries 0, v_pc = -free[r][fc] / p for the pivot
+    column pc of row r, a quotient of cleared dicts that reads back constant."""
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -415,12 +295,12 @@ def _null_basis(free, pivots, p, n: int) -> tuple:
         for r, pc in enumerate(pivots):
             if not free[r][fc]:
                 continue
-            a, b = _cleared([free[r][fc], p])
-            ratio = simplify(Product((a, Power(b, Fraction(-1)))))
-            if not isinstance(ratio, Constant):
+            ratio = _poly_div(*_cleared([free[r][fc], p]))
+            ratio = None if ratio is None else _read_back(ratio)
+            if ratio is None or set(ratio) - {()}:
                 raise RankDisagreement(
                     "null space is not spanned by constant vectors in this fragment")
-            v[pc] = -ratio.value
+            v[pc] = -ratio.get((), Fraction(0))
         basis.append(_primitive(v))
     return tuple(basis)
 
@@ -457,9 +337,8 @@ def invert_form(f: SymplecticForm):
     """Exact symbolic inverse from the form's elimination of [F | I].  At the
     end the left block is p_n I with p_n = sign * det F, and the right block
     that `elimination` holds is R = p_n F^-1, so each entry of F^-1 is
-    sign * R_ij / det, multiplied out as dicts: R_ij's own dict when each of
-    its factors round-trips (`expr._round_trips`), else the dict of its
-    rebuilt tree, which is what `simplify` would read.
+    sign * R_ij / det, multiplied out as dicts, R_ij read back as
+    `simplify` would read it (`expr._read_back`).
 
     The adjugate of an antisymmetric matrix is antisymmetric over any
     commutative ring, so R is too, exactly as dicts: the diagonal is empty
@@ -483,9 +362,7 @@ def invert_form(f: SymplecticForm):
         r = right[i][j]
         if right[j][i] != _negated(r):
             raise SymplecticError("form is not antisymmetric")
-        if not all(_round_trips(b, e) for m in r for b, e in m):
-            r = _to_poly(_rebuild(r), none)
-        return _rebuild(_cancelled(_poly_mul(r, sign_over_det), none))
+        return _rebuild(_cancelled(_poly_mul(_read_back(r), sign_over_det), none))
     return _antisymmetric(n, upper)
 
 
@@ -751,25 +628,28 @@ def coarse_dirac_bracket(U: Expr, V: Expr, m: Model, constraints=(),
     exact expression.  With no additional constraints it is
     1/Gamma(1+alpha)^2 times gradU . f^{-1} . gradV on the model's own
     variables (for coordinate pairs the inverse-form entry itself), not
-    simplified, and f is degenerate if its rank is short or its
-    determinant is 0 at the point.  With additional constraints it is
-    taken on the doubled phase space: canonical pairs (v, mom_v), the
-    primary constraints included automatically, the given constraints
-    appended, and the standard correction by the inverse constraint matrix
-    C applied (`_dirac_expr`).  Two rules read the point, where mom_v is
-    its kinetic coefficient unless bound: a constraint whose row of C is
-    exactly 0 there is left out of C, and the rest of C is degenerate if
-    its rank is short, its null space depends on the fields, or its
-    determinant is 0 there.  The order is
-    the model's, or for a symbolic order the `alpha` the point binds; with
-    neither, UnboundSymbol."""
+    simplified.  With additional constraints it is taken on the doubled
+    phase space: canonical pairs (v, mom_v), the primary constraints
+    included automatically, the given constraints appended, and the
+    standard correction by the inverse constraint matrix C applied
+    (`_dirac_expr`); mom_v is its kinetic coefficient unless the point
+    binds it, and a constraint whose row of C is exactly 0 there is left
+    out of C.  f, or the rest of C, is degenerate if its rank is short,
+    its null space depends on the fields, or its determinant is 0 at the
+    point.  The order is the model's, which the point may not rebind
+    (`Model.binding`), or for a symbolic order the `alpha` the point binds;
+    with neither, UnboundSymbol."""
     binding = m.binding(point)
     a = m.alpha if m.alpha is not None else binding.get("alpha")
     if a is None:
         raise UnboundSymbol("alpha")
     a = float(a)
     if not constraints:
-        form = assemble_form(m)
+        try:
+            form = assemble_form(m)
+        except RankDisagreement as exc:
+            raise DegenerateConstraintMatrix(
+                f"constraint matrix of the primary set is singular: {exc}") from None
         if form.rank < m.dimension:
             raise DegenerateConstraintMatrix(
                 "constraint matrix of the primary set is singular; null basis "

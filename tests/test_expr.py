@@ -40,7 +40,8 @@ from fracsymp.expr import (
     var,
 )
 from fracsymp import expr
-from fracsymp.expr import _RANKS, _base_key, _kept_poly, _to_poly
+from fracsymp.expr import (_RANKS, _base_key, _kept_poly, _poly_add, _poly_mul,
+                           _read_back, _rebuild, _sorted_mono, _to_poly)
 from fracsymp.frac import FracError
 from fracsymp.modelfile import parse_model_file
 from fracsymp import symplectic
@@ -616,6 +617,92 @@ def test_diff_on_the_kept_dict_matches_the_tree_rule(e):
             want = _derivative(s, name, positive, by_tree)
             assert _derivative(e, name, positive, diff) == want, (e, name, positive)
             assert _derivative(s, name, positive, diff) == want, (to_text(s), name)
+
+
+# -- dicts read back as `simplify` reads them -----------------------------------
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (FracsympError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _dicts(*trees):
+    try:
+        return [_to_poly(t, _NO_POSITIVE) for t in trees]
+    except ZeroDivisionError:  # zero under a negative power
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _TREES, st.booleans())
+@example(parse("2^(1/2)*q"), parse("(q^2)^(1/2) + 1"), True)
+@example(parse("4^(1/4)"), parse("4^(1/4) - 2^(1/2)"), True)
+@example(parse("(1 + q)^(1/2)"), parse("(1 + q)^(1/2)"), True)
+@example(parse("(2 + 2)^(1/3) - q"), parse("(q^2)^(1/2)*(1 + q)^(-1)"), False)
+def test_read_back_is_the_dict_of_the_rebuilt_tree(x, y, product):
+    """For a sum or product p of two dicts, some of whose factors do not
+    round-trip (a constant root, a power base, a sum at a positive
+    integer power), `_read_back(p)` is `_to_poly(_rebuild(p), {})`, or
+    both raise the same error."""
+    a, b = _dicts(x, y)
+    p = _poly_mul(a, b) if product else _poly_add(a, b)
+    want = _outcome(lambda: _to_poly(_rebuild(p), _NO_POSITIVE))
+    assert _outcome(_read_back, p) == want
+
+
+def _ratio_by_trees(x: dict, p: dict):
+    """x / p through simplified trees: both dicts times every opaque sum
+    denominator that they hold, each rebuilt and simplified, then
+    simplify(a * b^-1); its value when that is a Constant, else None.
+    Kept as the oracle of `_null_basis`'s one exact division of dicts."""
+    den: dict = {}
+    for z in (x, p):
+        for mono in z:
+            for b, e in mono:
+                if e < 0 and isinstance(b, Sum):
+                    den[b] = max(den.get(b, 0), -e)
+    d = {_sorted_mono(den.items()): Fraction(1)}
+    a, b = (simplify(_rebuild(_poly_mul(z, d))) for z in (x, p))
+    ratio = simplify(Product((a, Power(b, Fraction(-1)))))
+    return ratio.value if isinstance(ratio, Constant) else None
+
+
+_ENTRIES = ["c*y", "c*y + z", "c*y + z - simplify(z)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _TREES, st.just(Fraction(0)) | _RATIONALS, st.sampled_from(_ENTRIES))
+@example(parse("q"), parse("4^(1/4)*4^(1/4) - 2"), Fraction(0), "c*y + z")
+@example(parse("q"), parse("(1 + q)^(1/2)*(1 + q)^(1/2) - 1 - q"), Fraction(0), "c*y + z")
+@example(parse("2^(-1/2)*q"), parse("2^(1/2)*q"), Fraction(0), "c*y + z")
+@example(parse("(1 + q)^(-1)*p"), parse("p + q*p"), Fraction(0), "c*y + z")
+@example(parse("2^(1/2)*(1 + q)^(-1) + k"), parse("((1 + q)^(-1))^(-2)"), Fraction(-2),
+         "c*y + z - simplify(z)")
+def test_null_vector_entry_is_the_ratio_of_the_simplified_trees(y, z, c, entry):
+    """With p the dict of y and the entry x the dict that `entry` names, the
+    null vector of one pivot row holds -x/p as the tree oracle gives it,
+    or the form is refused with RankDisagreement where the oracle's ratio
+    is no constant.  z - simplify(z) is 0 though its dict need not be
+    empty, so the entries include ones whose value is 0 and constant
+    multiples of p that are so only once read back."""
+    p, dz = _dicts(y, z)
+    x = {m: c * v for m, v in p.items()} if c else {}
+    if entry != "c*y":
+        x = _poly_add(x, dz)
+    if entry == "c*y + z - simplify(z)":
+        x = _poly_add(x, {m: -v for m, v in _dicts(_canonical(z))[0].items()})
+    assume(x and p)  # an empty entry is skipped; an empty pivot is none
+    want = _outcome(_ratio_by_trees, x, p)
+    got = _outcome(symplectic._null_basis, [{1: x}], [0], p, 2)
+    if isinstance(want, type):
+        assert issubclass(got, ZeroDivisionError) and issubclass(want, ZeroDivisionError)
+    elif want is None:
+        assert got is symplectic.RankDisagreement
+    else:
+        assert got == (symplectic._primitive((-want, Fraction(1))),)
 
 
 _TESTS = pathlib.Path(__file__).parent

@@ -417,6 +417,19 @@ def test_poisson_alpha_classical_limit():
     assert abs(got - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("text, q, message", [
+    ("q^(-1)", 0.0, "zero base under negative exponent"),
+    ("q^(1/2)", -1.0, "negative base")])
+def test_poisson_alpha_maps_an_evaluation_error_to_outside_fragment(text, q, message):
+    """At alpha = 1 no coordinate is checked, so the bracket's value itself
+    fails, with -q^(-2) at q = 0 or q^(-1/2) at q = -1, and that failure
+    is reported as OutsideFragment."""
+    u = parse_expression(text, variables=("q", "p"))
+    p = parse_expression("p", variables=("q", "p"))
+    with pytest.raises(OutsideFragment, match=message):
+        poisson_alpha(u, p, [("q", "p")], 1.0, {"q": q, "p": 1.0})
+
+
 def test_fractional_poisson_bracket_from_model():
     from fracsymp.symplectic import Model
     names = ("q", "p")

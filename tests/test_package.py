@@ -1,6 +1,6 @@
 """The package's public names: what `fracsymp.__all__` promises exists,
-that each module reads every name it imports, and which modules import
-numpy."""
+that each module reads every name it imports, which modules import
+numpy, and that the exact elimination's internals stay in `expr`."""
 
 import ast
 import pathlib
@@ -49,18 +49,33 @@ def test_every_module_reads_what_it_imports():
     assert unread == {}
 
 
+def _imports(path: pathlib.Path):
+    """(module, names) of each import statement in the file, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or "", tuple(alias.name for alias in node.names)
+
+
 def test_only_the_numeric_modules_import_numpy():
     """The symbolic modules stay exact: numpy is imported, at any depth,
     only by the fractional calculus, the integrators and the writers."""
-    importers = set()
-    for path in sorted(pathlib.Path(fracsymp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "numpy" for name in modules):
-                importers.add(path.stem)
+    importers = {path.stem
+                 for path in sorted(pathlib.Path(fracsymp.__file__).parent.glob("*.py"))
+                 for module, _ in _imports(path) if module.split(".")[0] == "numpy"}
     assert importers <= {"frac", "dynamics", "serialize"}
+
+
+# the packing, the integer kernel and the read-back rule of the exact
+# elimination, which runs in `expr`
+_ELIMINATION_INTERNALS = {"_ONE", "_Packing", "_divide", "_denominator_lcm",
+                          "_round_trips", "_sorted_mono", "_fold"}
+
+
+def test_only_expr_imports_the_elimination_internals():
+    importers = {path.stem: sorted(_ELIMINATION_INTERNALS.intersection(names))
+                 for path in sorted(pathlib.Path(fracsymp.__file__).parent.glob("*.py"))
+                 for _, names in _imports(path)
+                 if _ELIMINATION_INTERNALS.intersection(names)}
+    assert importers == {}

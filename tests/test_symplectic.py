@@ -30,7 +30,10 @@ from fracsymp.expr import (
     _Packing,
     _denominator_lcm,
     _divide,
+    _eliminate,
     _joined,
+    _mul_sub,
+    _nonzero,
     _poly_div,
     _poly_mul,
     _rebuild,
@@ -65,10 +68,7 @@ from fracsymp.symplectic import (
     SymplecticError,
     CONVENTION,
     SymplecticForm,
-    _eliminate,
     _in_rational_span,
-    _mul_sub,
-    _nonzero,
     _scaled,
     assemble_form,
     coarse_dirac_bracket,
@@ -465,6 +465,13 @@ def test_a_dict_over_round_tripping_bases_is_zero_only_when_empty(data):
     assert _nonzero(x) == bool(x)
 
 
+def test_a_constant_root_that_reads_back_to_0_is_no_pivot():
+    """The dict of 4^(1/4)*4^(1/4) - 2 holds the monomial 4^(1/2), which
+    reads back as 2: its cleared dict is empty, so it is 0."""
+    x = _to_poly(parse_expression("4^(1/4)*4^(1/4) - 2"), frozenset())
+    assert x and not _nonzero(x)
+
+
 _A = "c*(1 + c)^(-1)"
 _B = "1 - (1 + c)^(-1)"
 
@@ -705,6 +712,20 @@ def test_dirac_bracket_symbolic_order_reads_the_point():
         coarse_dirac_bracket(q, p, m, point={"q": 0.3, "p": 0.9})
 
 
+def test_dirac_bracket_refuses_a_point_that_rebinds_a_numeric_order():
+    """A point may not bind alpha to another value than the model's
+    numeric order: the kinetic term alpha*p would be read at the point's
+    value and the prefactor at the model's.  The same value is accepted."""
+    names = ("q", "p")
+    m = Model(names, (ex("alpha*p", names), ZERO), ZERO, 0.5, {}, ())
+    q, p = ex("q", names), ex("p", names)
+    with pytest.raises(ModelError, match="alpha = 0.9.*order is 0.5"):
+        coarse_dirac_bracket(q, p, m, point={"q": 1, "p": 1, "alpha": 0.9})
+    got = coarse_dirac_bracket(q, p, m, point={"q": 1, "p": 1})
+    assert abs(got - 2.0 / gamma(1.5) ** 2) < 1e-12
+    assert coarse_dirac_bracket(q, p, m, point={"q": 1, "p": 1, "alpha": 0.5}) == got
+
+
 def test_dirac_bracket_freezes_constrained_pair():
     m = two_pair()
     names = m.variables
@@ -736,6 +757,24 @@ def test_dirac_bracket_refuses_a_model_with_no_kinetic_sector():
     with pytest.raises(DegenerateConstraintMatrix,
                        match="every constraint commutes with the rest"):
         coarse_dirac_bracket(q, p, m, [ONE], pt)
+
+
+def test_dirac_bracket_refuses_a_form_whose_null_space_depends_on_the_fields():
+    """f of the kinetic sector x*p, 0, 0 has rank 2 and the null vector
+    (0, x, -p), which no constant vector spans: a rank-short f, degenerate
+    with no constraints; with the constraint q1*q2 and no kinetic sector,
+    C = {mom_q1, mom_q2, q1*q2} is the like case on the doubled space."""
+    names = ("q", "x", "p")
+    m = Model(names, (ex("x*p", names), ZERO, ZERO),
+              ex("1/2*(x^2 + p^2)", names), 1.0, {}, ())
+    with pytest.raises(DegenerateConstraintMatrix, match="primary set is singular"):
+        coarse_dirac_bracket(ex("q", names), ex("p", names), m,
+                             point={"q": 1, "x": 1, "p": 1})
+    names = ("q1", "q2")
+    m = Model(names, (ZERO, ZERO), ZERO, 1.0, {}, ())
+    with pytest.raises(DegenerateConstraintMatrix, match="singular beyond"):
+        coarse_dirac_bracket(ex("q1", names), ex("q2", names), m,
+                             [ex("q1*q2", names)], {"q1": 1, "q2": 2})
 
 
 def test_dirac_bracket_refuses_a_form_singular_at_the_point():
